@@ -67,9 +67,8 @@ def average_precision(scores: list[tuple[float, int]]) -> float:
 class EvalReport:
     """Evaluation summary; serializes to JSON with a fixed key order.
 
-    ``images_per_second`` is 0.0 unless throughput was actually
-    measured (the bench path fills it in); evaluation output stays
-    byte-reproducible that way.
+    It holds no timing, so evaluation output is byte-reproducible;
+    throughput is measured by ``train.bench`` instead.
     """
 
     acc: float
@@ -77,7 +76,6 @@ class EvalReport:
     n_real: int
     n_fake: int
     params: int
-    images_per_second: float
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2) + "\n"

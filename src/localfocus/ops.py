@@ -5,6 +5,11 @@ All ops run in float64. ``conv2d`` and ``maxpool2d`` take a single
 computes the same arithmetic as looping the single-image path (equal to
 float64 roundoff; BLAS may block the larger matmul differently) and
 exists for speed: one im2col matmul per layer instead of N.
+
+``maxpool2d`` is a running maximum over k*k strided tap views, tap
+(i, j) holding element (i, j) of every window. Its backward gives each
+gradient to the first tap, in row-major order, that equals the maximum,
+and adds it into that tap's slice; a slice never repeats a position.
 """
 
 from __future__ import annotations
@@ -108,24 +113,30 @@ def maxpool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
     if w < k:
         raise ShapeError(f"maxpool2d width axis too small: extent {w} < window {k}")
 
-    win = sliding_window_view(xd, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    n_, c_, ho, wo = win.shape[:4]
-    flat = win.reshape(n, c, ho, wo, k * k)
-    arg = flat.argmax(axis=4)
-    out_data = np.take_along_axis(flat, arg[..., None], axis=4)[..., 0]
-    if squeeze:
-        out_data = out_data[0]
+    ho = (h - k) // stride + 1
+    wo = (w - k) // stride + 1
+    taps = [np.s_[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+            for i in range(k) for j in range(k)]
+    pooled = xd[taps[0]].copy()
+    for tap in taps[1:]:
+        np.maximum(pooled, xd[tap], out=pooled)
 
     def backward():
         g = out.grad if not squeeze else out.grad[None]
-        ni, ci, oi, oj = np.indices((n, c, ho, wo), sparse=False)
-        si = oi * stride + arg // k
-        sj = oj * stride + arg % k
+        taken = np.zeros(pooled.shape, dtype=bool)
+        hits = []
+        for tap in taps:
+            hit = (xd[tap] == pooled) & ~taken
+            taken |= hit
+            hits.append(hit)
         dx = np.zeros_like(xd)
-        np.add.at(dx, (ni, ci, si, sj), g)
+        # Reversed tap order adds the gradients of overlapping windows
+        # in row-major window order.
+        for tap, hit in zip(reversed(taps), reversed(hits)):
+            dx[tap] += np.where(hit, g, 0.0)
         x._accumulate(dx[0] if squeeze else dx)
 
-    out = Tensor._wrap(np.ascontiguousarray(out_data), (x,), backward)
+    out = Tensor._wrap(pooled[0] if squeeze else pooled, (x,), backward)
     return out
 
 

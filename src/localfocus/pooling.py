@@ -23,6 +23,12 @@ Inference uses the deterministic top-k path only.
 Ordering is the total order on (value, flat index), so ties are stable
 and reproducible: among equal values the smaller row-major position
 ranks lower.
+
+Each channel is one row, and each step runs once over all rows. A
+training call draws first the (rows, k) dropout uniforms, then the
+(rows, H*W) RKS keys, whose k smallest per row mark a uniform sample
+without replacement (equal-weight Gumbel-top-k). The dropout pattern
+thus does not depend on whether RKS is on.
 """
 
 from __future__ import annotations
@@ -98,21 +104,10 @@ def rbld_probabilities(k: int, p_min: float, p_max: float) -> np.ndarray:
 
 
 def topk_ascending(flat: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest entries under the total order
+    """Indices of the k largest entries of each row under the total order
     (value, flat index), returned in ascending order of that same key."""
-    order = np.argsort(flat, kind="stable")
-    return order[flat.size - k:]
-
-
-def _channel_rngs(rng: np.random.Generator, channels: int) -> list[np.random.Generator]:
-    """Independent per-channel substreams.
-
-    One draw from ``rng`` seeds all channels, so each channel's stream
-    depends only on (that draw, channel index), never on how many draws
-    other channels consumed.
-    """
-    base = int(rng.integers(0, 2**63 - 1))
-    return [np.random.default_rng((base, c)) for c in range(channels)]
+    order = np.argsort(flat, axis=-1, kind="stable")
+    return order[..., flat.shape[-1] - k:]
 
 
 def tkp_forward(maps: np.ndarray | Tensor, cfg: TkpConfig,
@@ -136,31 +131,18 @@ def tkp_forward(maps: np.ndarray | Tensor, cfg: TkpConfig,
         raise ConfigError("tkp_forward needs an rng for the training paths")
 
     flat = data.reshape(channels, n)
-    vector = np.empty((channels, cfg.k))
-    selected = np.empty((channels, cfg.k), dtype=np.int64)
-    dropped = np.zeros((channels, cfg.k), dtype=bool) if use_rbld else None
-    star_vals = np.empty((channels, cfg.k)) if use_rks else None
-    star_idx = np.empty((channels, cfg.k), dtype=np.int64) if use_rks else None
-
-    streams = _channel_rngs(rng, channels) if (use_rbld or use_rks) else None
-    probs = rbld_probabilities(cfg.k, cfg.p_min, cfg.p_max) if use_rbld else None
-
-    for c in range(channels):
-        row = flat[c]
-        sel = topk_ascending(row, cfg.k)
-        selected[c] = sel
-        vals = row[sel].copy()
-        if use_rbld:
-            r = streams[c].random(cfg.k)
-            drop = r <= probs
-            vals[drop] = 0.0
-            dropped[c] = drop
-        vector[c] = vals
-        if use_rks:
-            pick = streams[c].choice(n, size=cfg.k, replace=False)
-            order = np.lexsort((pick, row[pick]))
-            star_idx[c] = pick[order]
-            star_vals[c] = row[star_idx[c]]
+    selected = topk_ascending(flat, cfg.k)
+    vector = np.take_along_axis(flat, selected, axis=1)
+    dropped = star_vals = star_idx = None
+    if use_rbld:
+        dropped = rng.random((channels, cfg.k)) <= rbld_probabilities(cfg.k, cfg.p_min, cfg.p_max)
+        vector[dropped] = 0.0
+    if use_rks:
+        pick = np.argpartition(rng.random((channels, n)), cfg.k - 1, axis=1)[:, :cfg.k]
+        picked = np.take_along_axis(flat, pick, axis=1)
+        order = np.lexsort((pick, picked))
+        star_idx = np.take_along_axis(pick, order, axis=1)
+        star_vals = np.take_along_axis(picked, order, axis=1)
 
     return PooledVectors(
         vector=vector.reshape(-1),
@@ -178,29 +160,43 @@ def tkp_backward(pooled: PooledVectors, upstream_vec: np.ndarray | None,
 
     Pooling selects and reorders, so the gradient scatters each upstream
     entry to the flat position it was read from; positions touched by
-    both vectors (or by overlapping selections) accumulate. RBLD-zeroed
-    entries pass nothing. Pooling itself has no parameters.
+    both vectors accumulate. RBLD-zeroed entries pass nothing. Pooling
+    itself has no parameters.
     """
     if pooled.selected_indices is None:
         raise StateError("tkp_backward needs the selection record from tkp_forward")
     channels, h, w = pooled.map_shape
     k = pooled.selected_indices.shape[1]
     grad = np.zeros((channels, h * w))
-    rows = np.repeat(np.arange(channels), k)
+    # Positions are unique within each row of a selection, so indexed
+    # writes and adds never hit one position twice.
     if upstream_vec is not None:
         up = np.asarray(upstream_vec, dtype=np.float64).reshape(channels, k)
         if pooled.dropped is not None:
             up = up * ~pooled.dropped
-        np.add.at(grad, (rows, pooled.selected_indices.reshape(-1)), up.reshape(-1))
+        np.put_along_axis(grad, pooled.selected_indices, up, axis=1)
     if upstream_star is not None:
         if pooled.star_indices is None:
             raise StateError("tkp_backward got a star gradient but no star selection record")
-        up = np.asarray(upstream_star, dtype=np.float64).reshape(-1)
-        np.add.at(grad, (rows, pooled.star_indices.reshape(-1)), up)
+        up = np.asarray(upstream_star, dtype=np.float64).reshape(channels, k)
+        grad[np.arange(channels)[:, None], pooled.star_indices] += up
     return grad.reshape(channels, h, w)
 
 
 # -- Tensor-graph wrappers ----------------------------------------------------
+
+
+def _split_samples(pooled: PooledVectors, n: int) -> list[PooledVectors]:
+    """Per-sample views of a record that pooled n samples' channels as rows."""
+    rows, h, w = pooled.map_shape
+
+    def split(a):
+        return [None] * n if a is None else np.split(a, n)
+
+    return [PooledVectors(*fields, map_shape=(rows // n, h, w))
+            for fields in zip(split(pooled.vector), split(pooled.vector_star),
+                              split(pooled.selected_indices), split(pooled.star_indices),
+                              split(pooled.dropped))]
 
 
 def tkp_pool(x: Tensor, cfg: TkpConfig, rng: np.random.Generator | None = None
@@ -209,36 +205,29 @@ def tkp_pool(x: Tensor, cfg: TkpConfig, rng: np.random.Generator | None = None
 
     ``x`` is (N, C, H, W); returns the (N, C*k) vector tensor, the
     (N, C*k) random-sample tensor (or None), and the per-sample pooling
-    records.
+    records. All N*C channels are pooled as one stack, so the batch
+    costs one selection pass and one draw per random array.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"tkp_pool input must be NxCxHxW, got rank {x.data.ndim}")
-    if x.data.shape[0] == 0:
+    n, c, h, w = x.data.shape
+    if n == 0:
         raise ShapeError("tkp_pool needs a non-empty batch")
-    records = [tkp_forward(x.data[i], cfg, rng) for i in range(x.data.shape[0])]
-    vec_data = np.stack([r.vector for r in records])
+    pooled = tkp_forward(x.data.reshape(n * c, h, w), cfg, rng)
 
     def backward_vec():
-        dx = np.stack([
-            tkp_backward(r, out_vec.grad[i], None) for i, r in enumerate(records)
-        ])
-        x._accumulate(dx)
+        x._accumulate(tkp_backward(pooled, out_vec.grad).reshape(x.data.shape))
 
-    out_vec = Tensor._wrap(vec_data, (x,), backward_vec)
+    out_vec = Tensor._wrap(pooled.vector.reshape(n, -1), (x,), backward_vec)
 
     out_star = None
-    if records[0].vector_star is not None:
-        star_data = np.stack([r.vector_star for r in records])
-
+    if pooled.vector_star is not None:
         def backward_star():
-            dx = np.stack([
-                tkp_backward(r, None, out_star.grad[i]) for i, r in enumerate(records)
-            ])
-            x._accumulate(dx)
+            x._accumulate(tkp_backward(pooled, None, out_star.grad).reshape(x.data.shape))
 
-        out_star = Tensor._wrap(star_data, (x,), backward_star)
+        out_star = Tensor._wrap(pooled.vector_star.reshape(n, -1), (x,), backward_star)
 
-    return out_vec, out_star, records
+    return out_vec, out_star, _split_samples(pooled, n)
 
 
 def gap_forward(maps: np.ndarray) -> np.ndarray:
@@ -286,8 +275,7 @@ def gmp_pool(x: Tensor) -> Tensor:
 
     def backward():
         dx = np.zeros_like(flat)
-        ni, ci = np.indices((n, c))
-        np.add.at(dx, (ni, ci, arg), out.grad)
+        np.put_along_axis(dx, arg[..., None], out.grad[..., None], axis=2)
         x._accumulate(dx.reshape(x.data.shape))
 
     out = Tensor._wrap(out_data, (x,), backward)

@@ -146,8 +146,8 @@ def build_model(cfg: TrainConfig, *, npr_cfg=None, snet_cfg=None, tkp_cfg=None,
 def evaluate(model: LfmModel, dataset: list[SampleRecord]) -> EvalReport:
     """Score every sample deterministically and summarize.
 
-    ``images_per_second`` is reported as 0.0 (not measured) so the
-    report is byte-reproducible; use :func:`bench` for throughput.
+    The report carries no timing, so it is byte-reproducible; use
+    :func:`bench` for throughput.
     """
     if len(dataset) == 0:
         raise ConfigError("evaluate needs a non-empty dataset")
@@ -158,7 +158,6 @@ def evaluate(model: LfmModel, dataset: list[SampleRecord]) -> EvalReport:
         n_real=sum(1 for rec in dataset if rec.label == 0),
         n_fake=sum(1 for rec in dataset if rec.label == 1),
         params=total_param_count(model),
-        images_per_second=0.0,
     )
 
 

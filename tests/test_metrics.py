@@ -113,18 +113,15 @@ class TestAveragePrecision:
 
 class TestEvalReport:
     def test_json_key_order(self):
-        report = EvalReport(acc=0.5, ap=0.75, n_real=10, n_fake=10, params=100,
-                            images_per_second=0.0)
+        report = EvalReport(acc=0.5, ap=0.75, n_real=10, n_fake=10, params=100)
         text = report.to_json()
         keys = [line.split('"')[1] for line in text.splitlines() if '"' in line]
-        assert keys == ["acc", "ap", "n_real", "n_fake", "params", "images_per_second"]
+        assert keys == ["acc", "ap", "n_real", "n_fake", "params"]
 
     def test_round_trip(self):
-        report = EvalReport(acc=0.98, ap=0.999, n_real=250, n_fake=250, params=46753,
-                            images_per_second=0.0)
+        report = EvalReport(acc=0.98, ap=0.999, n_real=250, n_fake=250, params=46753)
         assert EvalReport.from_json(report.to_json()) == report
 
     def test_serialization_is_deterministic(self):
-        a = EvalReport(acc=1 / 3, ap=2 / 3, n_real=1, n_fake=2, params=3,
-                       images_per_second=0.0)
+        a = EvalReport(acc=1 / 3, ap=2 / 3, n_real=1, n_fake=2, params=3)
         assert a.to_json() == EvalReport.from_json(a.to_json()).to_json()

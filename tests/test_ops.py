@@ -6,6 +6,7 @@ import pytest
 from localfocus import (ConfigError, DomainError, ShapeError, Tensor,
                         bce_loss, bce_loss_mean, conv2d, linear, maxpool2d)
 from localfocus.gradcheck import check_gradient
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def conv_output_extent(n, k, stride, padding):
@@ -129,6 +130,21 @@ class TestConv2d:
         assert check_gradient(f_of("b"), b0, b.grad) < 1e-4
 
 
+def oracle_maxpool2d(xd, g, k, stride):
+    """Window-copy max-pool: argmax over each copied window (first max
+    wins), then np.add.at scatters ``g`` to the winners. Returns the
+    forward values and the input gradient for an N x C x H x W batch."""
+    win = sliding_window_view(xd, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    n, c, ho, wo = win.shape[:4]
+    flat = win.reshape(n, c, ho, wo, k * k)
+    arg = flat.argmax(axis=4)
+    out = np.take_along_axis(flat, arg[..., None], axis=4)[..., 0]
+    ni, ci, oi, oj = np.indices((n, c, ho, wo))
+    dx = np.zeros_like(xd)
+    np.add.at(dx, (ni, ci, oi * stride + arg // k, oj * stride + arg % k), g)
+    return out, dx
+
+
 class TestMaxPool2d:
     def test_single_window(self):
         out = maxpool2d(Tensor([[[1.0, 2.0], [3.0, 4.0]]]))
@@ -180,6 +196,25 @@ class TestMaxPool2d:
                 return float((maxpool2d(Tensor(arr)).data * upstream).sum())
 
             assert check_gradient(f, x0, x.grad) < 1e-4
+
+    @pytest.mark.parametrize("shape,k,stride", [
+        ((2, 3, 63, 63), 2, 2), ((2, 3, 7, 5), 2, 2),
+        ((2, 2, 9, 11), 3, 3), ((2, 2, 6, 7), 2, 1),
+    ])
+    def test_matches_window_oracle(self, shape, k, stride):
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            # Rounding leaves many equal values per window (and signed zeros).
+            x0 = np.round(rng.normal(size=shape))
+            x = Tensor(x0, requires_grad=True)
+            out = maxpool2d(x, k=k, stride=stride)
+            upstream = rng.normal(size=out.data.shape)
+            out.backward(upstream)
+            ref_out, ref_dx = oracle_maxpool2d(x0, upstream, k, stride)
+            # Values compare equal; which of two signed zeros a tie keeps
+            # is left to np.maximum, so the forward is not compared as bytes.
+            np.testing.assert_array_equal(out.data, ref_out)
+            assert x.grad.tobytes() == ref_dx.tobytes()
 
 
 class TestLinear:

@@ -147,8 +147,8 @@ class TestRbld:
         assert rates[-1] > rates[0]
 
     def test_channel_streams_do_not_interact(self):
-        # With RKS off, channel c's dropout pattern must be what it would
-        # be with RKS on: substreams are keyed by channel, not call order.
+        # With RKS off, the dropout pattern must be what it would be with
+        # RKS on: the dropout uniforms are drawn before the RKS keys.
         rng_a = np.random.default_rng(7)
         rng_b = np.random.default_rng(7)
         maps = np.random.default_rng(8).uniform(0.5, 1.5, size=(4, 4, 4))
@@ -264,6 +264,40 @@ class TestGraphWrappers:
         up = rng.normal(size=vec.data.shape)
         vec.backward(up)
         manual = np.stack([tkp_backward(r, up[i]) for i, r in enumerate(records)])
+        np.testing.assert_array_equal(x.grad, manual)
+
+    def test_tkp_forward_is_record_zero_of_tkp_pool(self):
+        maps = np.random.default_rng(21).normal(size=(5, 4, 4))
+        cfg = TkpConfig(k=4, training=True)
+        single = tkp_forward(maps, cfg, np.random.default_rng(3))
+        vec, star, records = tkp_pool(Tensor(maps[None]), cfg, np.random.default_rng(3))
+        for name in ("vector", "vector_star", "selected_indices", "star_indices", "dropped"):
+            np.testing.assert_array_equal(getattr(records[0], name), getattr(single, name))
+        assert records[0].map_shape == single.map_shape
+        np.testing.assert_array_equal(vec.data[0], single.vector)
+        np.testing.assert_array_equal(star.data[0], single.vector_star)
+
+    def test_training_batch_dropout_and_random_sample(self):
+        rng = np.random.default_rng(22)
+        xs = rng.choice([0.5, 0.75, 1.0, 1.25], size=(6, 5, 4, 4))  # ties, no zeros
+        cfg = TkpConfig(k=5, training=True, p_min=0.3, p_max=0.6)
+        x = Tensor(xs, requires_grad=True)
+        vec, star, records = tkp_pool(x, cfg, rng)
+        assert vec.data.shape == star.data.shape == (6, 25) and len(records) == 6
+        topk = tkp_pool(Tensor(xs), TkpConfig(k=5))[0].data.reshape(6, 5, 5)
+        dropped = np.stack([r.dropped for r in records])
+        assert dropped.any() and not dropped.all()
+        np.testing.assert_array_equal(vec.data.reshape(6, 5, 5), np.where(dropped, 0.0, topk))
+        for i, r in enumerate(records):
+            flat = xs[i].reshape(5, 16)
+            for c in range(5):
+                idx = r.star_indices[c].tolist()
+                assert len(set(idx)) == 5
+                assert idx == sorted(idx, key=lambda j: (flat[c, j], j))
+                np.testing.assert_array_equal(star.data[i].reshape(5, 5)[c], flat[c, idx])
+        up_vec, up_star = rng.normal(size=(6, 25)), rng.normal(size=(6, 25))
+        (vec * Tensor(up_vec) + star * Tensor(up_star)).sum().backward()
+        manual = np.stack([tkp_backward(r, up_vec[i], up_star[i]) for i, r in enumerate(records)])
         np.testing.assert_array_equal(x.grad, manual)
 
     def test_gap_values_and_grad(self):

@@ -127,7 +127,6 @@ class TestEvaluate:
         report = evaluate(model, reals + fakes)
         assert report.n_real == 3 and report.n_fake == 5
         assert report.params == total_param_count(model)
-        assert report.images_per_second == 0.0
         assert 0.0 <= report.acc <= 1.0
         assert 0.0 <= report.ap <= 1.0
 
