@@ -9,9 +9,8 @@ randomizations run long enough to show their statistics.
 
 import numpy as np
 
-from localfocus import TkpConfig
-from localfocus.pooling import (gap_forward, gmp_forward, rbld_probabilities,
-                                tkp_forward)
+from localfocus import Tensor, TkpConfig
+from localfocus.pooling import gap_pool, gmp_pool, rbld_probabilities, tkp_pool
 
 
 def main():
@@ -24,31 +23,32 @@ def main():
     print("One 4x4 channel with three strong local responses:")
     print(maps[0], end="\n\n")
 
-    print(f"global average keeps {gap_forward(maps)[0]:.4f} -- the artifacts drown")
-    print(f"global max keeps     {gmp_forward(maps)[0]:.4f} -- a single pixel decides")
-    pooled = tkp_forward(maps, TkpConfig(k=4))
-    print(f"top-4 keeps          {pooled.vector} (ascending)")
+    batch = Tensor(maps[None])  # the pooling ops take an N x C x H x W batch
+    print(f"global average keeps {gap_pool(batch).data[0, 0]:.4f} -- the artifacts drown")
+    print(f"global max keeps     {gmp_pool(batch).data[0, 0]:.4f} -- a single pixel decides")
+    vec, _, pooled = tkp_pool(batch, TkpConfig(k=4))
+    print(f"top-4 keeps          {vec.data[0]} (ascending)")
     print("ties resolve by flat map position, so the order is reproducible:")
     print(f"selected flat indices {pooled.selected_indices[0]}", end="\n\n")
 
     k, p_min, p_max = 4, 0.1, 0.3
     print(f"Rank-based dropout ramps from {p_min} (weakest kept) to {p_max} (strongest):")
     print(f"target rates {rbld_probabilities(k, p_min, p_max)}")
-    cfg = TkpConfig(k=k, p_min=p_min, p_max=p_max, training=True,
-                    rbld_enabled=True, rks_enabled=False)
+    print("(the regularizers run only when pooling is given an rng)")
+    cfg = TkpConfig(k=k, p_min=p_min, p_max=p_max, rbld_enabled=True, rks_enabled=False)
     rng = np.random.default_rng(7)
     drops = np.zeros(k)
     trials = 4000
     for _ in range(trials):
-        drops += tkp_forward(maps + 1.0, cfg, rng).dropped[0]
+        drops += tkp_pool(Tensor(maps[None] + 1.0), cfg, rng)[2].dropped[0]
     print(f"observed     {drops / trials}", end="\n\n")
 
     print("Random-k sampling picks positions uniformly without replacement,")
     print("then sorts the sampled values ascending like the top-k vector:")
-    cfg = TkpConfig(k=k, training=True, rbld_enabled=False, rks_enabled=True)
+    cfg = TkpConfig(k=k, rbld_enabled=False, rks_enabled=True)
     for _ in range(3):
-        pooled = tkp_forward(maps, cfg, rng)
-        print(f"  positions {pooled.star_indices[0]}  values {pooled.vector_star}")
+        _, star, pooled = tkp_pool(batch, cfg, rng)
+        print(f"  positions {pooled.star_indices[0]}  values {star.data[0]}")
 
 
 if __name__ == "__main__":

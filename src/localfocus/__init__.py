@@ -15,12 +15,11 @@ from .errors import (ConfigError, DomainError, ParseError, ShapeError,
 from .gradcheck import check_gradient, numeric_gradient, relative_error
 from .metrics import EvalReport, accuracy, average_precision
 from .model import LfmModel, LossReport, total_param_count
-from .npr import NprConfig, npr_extract, npr_grad
-from .ops import bce_loss, bce_loss_mean, conv2d, linear, maxpool2d
+from .npr import NprConfig, npr_extract
+from .ops import bce_loss_mean, conv2d, linear, maxpool2d
 from .optim import Adam, AdamState, adam_step
-from .pooling import (PooledVectors, TkpConfig, gap_forward, gap_pool,
-                      gmp_forward, gmp_pool, rbld_probabilities, tkp_backward,
-                      tkp_forward, tkp_pool, topk_ascending)
+from .pooling import (PooledVectors, TkpConfig, gap_pool, gmp_pool,
+                      rbld_probabilities, tkp_pool, topk_ascending)
 from .ppm import load_ppm, save_ppm
 from .snet import (SNet, SNetConfig, output_shape, receptive_field,
                    snet_param_count)
@@ -35,13 +34,12 @@ __all__ = [
     "DomainError", "EvalReport", "LfmModel", "LossReport", "NprConfig",
     "ParseError", "PooledVectors", "SNet", "SNetConfig", "SampleRecord",
     "ShapeError", "StateError", "Tensor", "TkpConfig", "TrainConfig",
-    "TrainResult", "accuracy", "adam_step", "average_precision", "bce_loss",
+    "TrainResult", "accuracy", "adam_step", "average_precision",
     "bce_loss_mean", "bench", "build_model", "check_gradient", "conv2d",
-    "evaluate", "gap_forward", "gap_pool", "gen_fake", "gen_real",
-    "gmp_forward", "gmp_pool", "linear", "load_checkpoint", "load_dataset",
-    "load_ppm", "maxpool2d", "npr_extract", "npr_grad", "numeric_gradient",
-    "output_shape", "rbld_probabilities", "read_manifest", "receptive_field",
-    "relative_error", "save_checkpoint", "save_ppm", "snet_param_count",
-    "tkp_backward", "tkp_forward", "tkp_pool", "topk_ascending",
-    "total_param_count", "train", "write_manifest",
+    "evaluate", "gap_pool", "gen_fake", "gen_real", "gmp_pool", "linear",
+    "load_checkpoint", "load_dataset", "load_ppm", "maxpool2d", "npr_extract",
+    "numeric_gradient", "output_shape", "rbld_probabilities", "read_manifest",
+    "receptive_field", "relative_error", "save_checkpoint", "save_ppm",
+    "snet_param_count", "tkp_pool", "topk_ascending", "total_param_count",
+    "train", "write_manifest",
 ]

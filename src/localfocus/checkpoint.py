@@ -3,10 +3,11 @@
 Layout (all integers little-endian):
 
     magic  b"LFM1"
-    u32    format version (1)
+    u32    format version (2)
     config payload: residual settings, conv stack plan, pooling variant
            and settings, decision threshold, aux loss weight
-    u32    CRC-32 of every byte above (tamper check)
+    u32    CRC-32 of every byte above (header check)
+    u32    CRC-32 of every byte below (parameter check)
     u32    parameter array count
     per array: u32 rank, u32 dims..., float32 values (C order)
 
@@ -14,6 +15,10 @@ Arrays appear in model declaration order (conv weight/bias pairs, head
 weight, head bias). Values are stored as float32; loading widens back
 to float64, so save(load(x)) is byte-identical while scores drift by at
 most ~1e-5 versus the float64 originals.
+
+Loading rejects a mismatch of either checksum and any non-finite
+parameter, each with its byte offset. Version 1 files (an activation
+byte, no parameter checksum) are refused as an unsupported version.
 """
 
 from __future__ import annotations
@@ -30,9 +35,7 @@ from .pooling import TkpConfig
 from .snet import SNetConfig
 
 MAGIC = b"LFM1"
-VERSION = 1
-_ACTIVATION_CODES = {"relu": 0}
-_ACTIVATION_NAMES = {v: k for k, v in _ACTIVATION_CODES.items()}
+VERSION = 2
 
 
 def _config_payload(model: LfmModel) -> bytes:
@@ -44,7 +47,7 @@ def _config_payload(model: LfmModel) -> bytes:
     parts.append(struct.pack("<I", len(pool)))
     if pool:
         parts.append(struct.pack(f"<{len(pool)}I", *pool))
-    parts.append(struct.pack("<BB", _ACTIVATION_CODES[snet.activation], int(snet.bias)))
+    parts.append(struct.pack("<B", int(snet.bias)))
     parts.append(struct.pack("<B", POOLING_VARIANTS.index(model.pooling)))
     parts.append(struct.pack("<IddBB", tkp.k, tkp.p_min, tkp.p_max,
                              int(tkp.rbld_enabled), int(tkp.rks_enabled)))
@@ -55,16 +58,16 @@ def _config_payload(model: LfmModel) -> bytes:
 def save_checkpoint(model: LfmModel, path: str) -> None:
     """Serialize configs and parameters to ``path``."""
     head = MAGIC + struct.pack("<I", VERSION) + _config_payload(model)
-    blob = [head, struct.pack("<I", zlib.crc32(head))]
     params = model.parameters()
-    blob.append(struct.pack("<I", len(params)))
+    payload = [struct.pack("<I", len(params))]
     for p in params:
         arr = p.data.astype(np.float32)
-        blob.append(struct.pack("<I", arr.ndim))
-        blob.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        blob.append(arr.tobytes(order="C"))
+        payload.append(struct.pack("<I", arr.ndim))
+        payload.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        payload.append(arr.tobytes(order="C"))
+    payload = b"".join(payload)
     with open(path, "wb") as fh:
-        fh.write(b"".join(blob))
+        fh.write(head + struct.pack("<II", zlib.crc32(head), zlib.crc32(payload)) + payload)
 
 
 class _Reader:
@@ -101,9 +104,7 @@ def load_checkpoint(path: str) -> LfmModel:
     plan = r.unpack(f"<{plan_len}I", "channel plan") if plan_len else ()
     (pool_len,) = r.unpack("<I", "pool plan length")
     pool = r.unpack(f"<{pool_len}I", "pool plan") if pool_len else ()
-    act_code, snet_bias = r.unpack("<BB", "conv stack flags")
-    if act_code not in _ACTIVATION_NAMES:
-        raise ParseError(f"unknown activation code {act_code}", offset=r.pos - 2)
+    (snet_bias,) = r.unpack("<B", "conv stack flags")
     (pool_code,) = r.unpack("<B", "pooling variant")
     if pool_code >= len(POOLING_VARIANTS):
         raise ParseError(f"unknown pooling variant code {pool_code}", offset=r.pos - 1)
@@ -122,8 +123,7 @@ def load_checkpoint(path: str) -> LfmModel:
     model = LfmModel(
         npr_cfg=NprConfig(window=window, anchor_index=anchor_index, take_abs=bool(take_abs)),
         snet_cfg=SNetConfig(num_conv_layers=num_layers, channel_plan=plan,
-                            pool_after=frozenset(pool),
-                            activation=_ACTIVATION_NAMES[act_code], bias=bool(snet_bias)),
+                            pool_after=frozenset(pool), bias=bool(snet_bias)),
         tkp_cfg=TkpConfig(k=k, p_min=p_min, p_max=p_max,
                           rbld_enabled=bool(rbld), rks_enabled=bool(rks)),
         pooling=POOLING_VARIANTS[pool_code],
@@ -131,11 +131,14 @@ def load_checkpoint(path: str) -> LfmModel:
         alpha=alpha,
     )
 
+    (crc_params,) = r.unpack("<I", "parameter checksum")
+    payload_start = r.pos
     params = model.parameters()
     (n_arrays,) = r.unpack("<I", "array count")
     if n_arrays != len(params):
         raise ParseError(f"checkpoint holds {n_arrays} arrays, model needs {len(params)}",
                          offset=r.pos - 4)
+    arrays = []
     for i, p in enumerate(params):
         (ndim,) = r.unpack("<I", f"array {i} rank")
         shape = r.unpack(f"<{ndim}I", f"array {i} shape") if ndim else ()
@@ -143,8 +146,19 @@ def load_checkpoint(path: str) -> LfmModel:
             raise ParseError(f"array {i} shaped {tuple(shape)}, model expects {p.data.shape}",
                              offset=r.pos - 4 * max(ndim, 1))
         count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        body = r.take(count * 4, f"array {i} values")
-        p.data = np.frombuffer(body, dtype="<f4", count=count).reshape(shape).astype(np.float64)
+        arrays.append((r.pos, np.frombuffer(r.take(count * 4, f"array {i} values"), dtype="<f4")))
     if r.pos != len(raw):
         raise ParseError(f"trailing bytes after last array: {len(raw) - r.pos}", offset=r.pos)
+    crc_actual = zlib.crc32(raw[payload_start:])
+    if crc_params != crc_actual:
+        raise ParseError(
+            f"parameter checksum mismatch: stored {crc_params:#010x}, computed {crc_actual:#010x}",
+            offset=payload_start,
+        )
+    for i, (p, (start, values)) in enumerate(zip(params, arrays)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ParseError(f"array {i} holds a non-finite value {values[bad[0]]} at element {bad[0]}",
+                             offset=start + 4 * int(bad[0]))
+        p.data = values.reshape(p.data.shape).astype(np.float64)
     return model

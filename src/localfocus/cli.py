@@ -29,7 +29,7 @@ from .pooling import TkpConfig
 from .ppm import load_ppm, save_ppm
 from .snet import SNetConfig
 from .train import (TrainConfig, bench, build_model, evaluate,
-                    save_loss_curve, train, worker_count_from_env)
+                    save_loss_curve, train)
 
 PROG = "localfocus"
 
@@ -164,7 +164,6 @@ _MODEL_FIELDS = [
     Field("num_conv_layers", "int", 5, "conv layers in the salience net"),
     Field("channel_plan", "intlist", None, "output channels per conv layer (must end in 64)"),
     Field("pool_after", "intlist", (1, 2, 3), "1-based conv indices followed by a 2x2 max-pool"),
-    Field("activation", "str", "relu", "nonlinearity between conv layers"),
     Field("bias", "bool", True, "per-channel conv bias"),
     Field("pooling", "str", "tkp", "pooling variant: tkp, gap, or gmp"),
     Field("k", "int", 16, "activations kept per channel by top-k pooling"),
@@ -208,7 +207,7 @@ _BENCH_FIELDS = [
     Field("checkpoint", "str", None, "model checkpoint", required=True),
     Field("manifest", "str", None, "manifest supplying bench images", required=True),
     Field("batch_size", "int", 32, "images per worker task"),
-    Field("workers", "int", None, "worker threads (default: $LOCALFOCUS_WORKERS or 1)"),
+    Field("workers", "int", 1, "worker threads"),
 ]
 
 
@@ -255,14 +254,11 @@ def _configs_from_opts(opts: dict):
                         take_abs=opts["take_abs"])
     snet_cfg = SNetConfig(num_conv_layers=opts["num_conv_layers"],
                           channel_plan=opts["channel_plan"],
-                          pool_after=frozenset(opts["pool_after"]),
-                          activation=opts["activation"], bias=opts["bias"])
+                          pool_after=frozenset(opts["pool_after"]), bias=opts["bias"])
     train_cfg = TrainConfig(lr=opts["lr"], batch_size=opts["batch_size"], epochs=opts["epochs"],
                             seed=opts["seed"], pooling=opts["pooling"],
                             rbld=opts["rbld"], rks=opts["rks"])
-    tkp_cfg = TkpConfig(k=opts["k"], p_min=opts["p_min"], p_max=opts["p_max"],
-                        rbld_enabled=train_cfg.effective_rbld(),
-                        rks_enabled=train_cfg.effective_rks())
+    tkp_cfg = TkpConfig(k=opts["k"], p_min=opts["p_min"], p_max=opts["p_max"])
     return npr_cfg, snet_cfg, tkp_cfg, train_cfg
 
 
@@ -281,8 +277,8 @@ def _cmd_train(opts: dict) -> int:
     save_loss_curve(result.epoch_losses, os.path.join(out_dir, "loss_curve.tsv"))
 
     resolved = dict(opts)
-    resolved["rbld"] = train_cfg.effective_rbld()
-    resolved["rks"] = train_cfg.effective_rks()
+    resolved["rbld"] = model.tkp_cfg.rbld_enabled
+    resolved["rks"] = model.tkp_cfg.rks_enabled
     resolved["channel_plan"] = snet_cfg.channel_plan
     resolved["pool_after"] = tuple(sorted(snet_cfg.pool_after))
     with open(os.path.join(out_dir, "config_used.cfg"), "w", encoding="utf-8") as fh:
@@ -317,9 +313,8 @@ def _cmd_infer(opts: dict) -> int:
 def _cmd_bench(opts: dict) -> int:
     model = load_checkpoint(opts["checkpoint"])
     dataset = load_dataset(read_manifest(opts["manifest"]))
-    workers = worker_count_from_env(opts["workers"])
     report = bench(model, [rec.image for rec in dataset],
-                   batch_size=opts["batch_size"], workers=workers)
+                   batch_size=opts["batch_size"], workers=opts["workers"])
     print(json.dumps(dataclasses.asdict(report), indent=2))
     return 0
 

@@ -11,7 +11,7 @@ three numbers and the decomposition is exact by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +34,13 @@ class LossReport:
     loss_b: float
     alpha: float
     total: float
+
+
+def _check_finite(image: np.ndarray, what: str) -> None:
+    """Reject NaN/inf pixels, which would otherwise score as a label."""
+    if not np.isfinite(image).all():
+        where = tuple(int(i) for i in np.argwhere(~np.isfinite(image))[0])
+        raise DomainError(f"{what} has a non-finite pixel {image[where]} at {where}")
 
 
 class LfmModel:
@@ -86,10 +93,9 @@ class LfmModel:
 
     # -- forward paths ----------------------------------------------------------
 
-    def _pool(self, maps: Tensor, training: bool, rng: np.random.Generator | None):
+    def _pool(self, maps: Tensor, rng: np.random.Generator | None):
         if self.pooling == "tkp":
-            cfg = replace(self.tkp_cfg, training=training)
-            return tkp_pool(maps, cfg, rng)
+            return tkp_pool(maps, self.tkp_cfg, rng)
         if self.pooling == "gap":
             return gap_pool(maps), None, None
         return gmp_pool(maps), None, None
@@ -110,6 +116,8 @@ class LfmModel:
         images = [np.asarray(im, dtype=np.float64) for im in images]
         if len(images) == 0:
             raise ConfigError("forward_train needs a non-empty batch")
+        for i, im in enumerate(images):
+            _check_finite(im, f"batch image {i}")
         labels = np.asarray(labels)
         if labels.shape != (len(images),):
             raise ShapeError(f"got {len(images)} images but labels shaped {labels.shape}")
@@ -119,7 +127,7 @@ class LfmModel:
         self.zero_grad()
         x = Tensor(np.stack(images))
         maps = self.snet.forward(npr_extract(x, self.npr_cfg))
-        vec, star, _ = self._pool(maps, training=True, rng=rng)
+        vec, star, _ = self._pool(maps, rng)
         probs = self._score(vec)  # (N, 1)
         loss_a = bce_loss_mean(probs, labels)
         star_probs = None
@@ -144,9 +152,10 @@ class LfmModel:
         image = np.asarray(image, dtype=np.float64)
         if image.ndim != 3:
             raise ShapeError(f"score expects one 3xHxW image, got rank {image.ndim}")
+        _check_finite(image, "image")
         x = Tensor(image[None])
         maps = self.snet.forward(npr_extract(x, self.npr_cfg))
-        vec, _, _ = self._pool(maps, training=False, rng=None)
+        vec, _, _ = self._pool(maps, None)
         return self._score(vec).data.reshape(-1)[0]
 
     def infer(self, image: np.ndarray) -> tuple[float, int]:

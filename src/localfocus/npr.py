@@ -100,14 +100,3 @@ def _residual_backward(res: np.ndarray, cfg: NprConfig, upstream: np.ndarray) ->
     dx = np.array(g0, dtype=np.float64, copy=True)
     dx[..., ar::m, ac::m] -= window_sums
     return dx
-
-
-def npr_grad(image: Tensor | np.ndarray, cfg: NprConfig, upstream: np.ndarray) -> np.ndarray:
-    """Gradient of the residual features w.r.t. ``image`` for a given
-    upstream gradient, without building a graph."""
-    data = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != data.shape:
-        raise ShapeError(f"npr_grad upstream shape {upstream.shape} != image shape {data.shape}")
-    res = _residual(data, cfg)
-    return _residual_backward(res, cfg, upstream)

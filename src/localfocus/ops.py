@@ -186,18 +186,6 @@ def _check_labels(labels: np.ndarray) -> None:
         raise DomainError(f"binary cross-entropy labels must be 0 or 1, got {bad[:4].tolist()}")
 
 
-def bce_loss(y_hat: Tensor, y: int) -> Tensor:
-    """Binary cross-entropy for one probability and one hard label.
-
-    ``y_hat`` must be a single-element tensor; probabilities are clamped
-    to [1e-12, 1 - 1e-12] before the log, and the gradient is zero in
-    the clamped region.
-    """
-    if y_hat.data.size != 1:
-        raise ShapeError(f"bce_loss expects a single probability, got shape {y_hat.shape}")
-    return bce_loss_mean(y_hat, [y])
-
-
 def bce_loss_mean(y_hat: Tensor, labels) -> Tensor:
     """Mean binary cross-entropy over a batch of probabilities.
 

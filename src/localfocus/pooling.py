@@ -18,15 +18,16 @@ Two training-only regularizers ride on top:
   without replacement, values sorted ascending, concatenated the same
   way. Scored by the same classifier head as an auxiliary target.
 
-Inference uses the deterministic top-k path only.
+Both run exactly when the caller passes an rng (a training step); a call
+without one is the deterministic top-k path used for inference.
 
 Ordering is the total order on (value, flat index), so ties are stable
 and reproducible: among equal values the smaller row-major position
 ranks lower.
 
-Each channel is one row, and each step runs once over all rows. A
-training call draws first the (rows, k) dropout uniforms, then the
-(rows, H*W) RKS keys, whose k smallest per row mark a uniform sample
+Each (sample, channel) map is one row, and each step runs once over all
+rows. A training call draws first the (rows, k) dropout uniforms, then
+the (rows, H*W) RKS keys, whose k smallest per row mark a uniform sample
 without replacement (equal-weight Gumbel-top-k). The dropout pattern
 thus does not depend on whether RKS is on.
 """
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, StateError
+from .errors import ConfigError, ShapeError
 from .tensor import Tensor
 
 
@@ -48,7 +49,6 @@ class TkpConfig:
     k: activations kept per channel (1 <= k <= H'*W' of the maps).
     p_min, p_max: dropout band, 0 <= p_min <= p_max < 1; rank 1 (the
         smallest kept value) drops at p_min, rank k at p_max.
-    training: enables the stochastic paths below.
     rbld_enabled: apply rank-based dropout to the top-k vector.
     rks_enabled: also emit the random-k vector.
     """
@@ -56,7 +56,6 @@ class TkpConfig:
     k: int = 16
     p_min: float = 0.1
     p_max: float = 0.3
-    training: bool = False
     rbld_enabled: bool = True
     rks_enabled: bool = True
 
@@ -71,26 +70,21 @@ class TkpConfig:
 
 @dataclass
 class PooledVectors:
-    """Output of one pooling pass over one set of maps.
+    """Selection record of one :func:`tkp_pool` call.
 
-    vector: (C*k,) kept activations, ascending per channel slice
-        (RBLD-zeroed entries stay in place).
-    vector_star: (C*k,) random-sample vector, or None outside training
-        or with RKS disabled.
-    selected_indices: (C, k) flat map positions feeding ``vector``,
-        aligned with its slices.
-    star_indices: (C, k) flat positions feeding ``vector_star``, or None.
-    dropped: (C, k) bool, True where RBLD zeroed an entry, or None when
-        RBLD did not run.
-    map_shape: (C, H, W) of the pooled maps, for gradient routing.
+    Every array has one row per (sample, channel), row n*C + c, shape
+    (N*C, k), aligned with the k-wide slices of the returned tensors.
+
+    selected_indices: flat map positions feeding the top-k vector.
+    star_indices: flat positions feeding the random-sample vector, or
+        None when RKS did not run.
+    dropped: bool, True where RBLD zeroed an entry, or None when RBLD
+        did not run.
     """
 
-    vector: np.ndarray
-    vector_star: np.ndarray | None
     selected_indices: np.ndarray
     star_indices: np.ndarray | None
     dropped: np.ndarray | None
-    map_shape: tuple[int, int, int]
 
 
 def rbld_probabilities(k: int, p_min: float, p_max: float) -> np.ndarray:
@@ -110,140 +104,67 @@ def topk_ascending(flat: np.ndarray, k: int) -> np.ndarray:
     return order[..., flat.shape[-1] - k:]
 
 
-def tkp_forward(maps: np.ndarray | Tensor, cfg: TkpConfig,
-                rng: np.random.Generator | None = None) -> PooledVectors:
-    """Pool one set of maps (C x H x W) into vectors per the scheme above.
-
-    ``rng`` is consumed only on the stochastic training paths; the
-    inference path never touches it and is fully deterministic.
-    """
-    data = maps.data if isinstance(maps, Tensor) else np.asarray(maps, dtype=np.float64)
-    if data.ndim != 3:
-        raise ShapeError(f"tkp_forward maps must be CxHxW, got rank {data.ndim}")
-    channels, h, w = data.shape
-    n = h * w
-    if cfg.k > n:
-        raise ConfigError(f"tkp k={cfg.k} exceeds map size {h}x{w}={n}")
-
-    use_rbld = cfg.training and cfg.rbld_enabled
-    use_rks = cfg.training and cfg.rks_enabled
-    if (use_rbld or use_rks) and rng is None:
-        raise ConfigError("tkp_forward needs an rng for the training paths")
-
-    flat = data.reshape(channels, n)
-    selected = topk_ascending(flat, cfg.k)
-    vector = np.take_along_axis(flat, selected, axis=1)
-    dropped = star_vals = star_idx = None
-    if use_rbld:
-        dropped = rng.random((channels, cfg.k)) <= rbld_probabilities(cfg.k, cfg.p_min, cfg.p_max)
-        vector[dropped] = 0.0
-    if use_rks:
-        pick = np.argpartition(rng.random((channels, n)), cfg.k - 1, axis=1)[:, :cfg.k]
-        picked = np.take_along_axis(flat, pick, axis=1)
-        order = np.lexsort((pick, picked))
-        star_idx = np.take_along_axis(pick, order, axis=1)
-        star_vals = np.take_along_axis(picked, order, axis=1)
-
-    return PooledVectors(
-        vector=vector.reshape(-1),
-        vector_star=star_vals.reshape(-1) if use_rks else None,
-        selected_indices=selected,
-        star_indices=star_idx,
-        dropped=dropped,
-        map_shape=(channels, h, w),
-    )
-
-
-def tkp_backward(pooled: PooledVectors, upstream_vec: np.ndarray | None,
-                 upstream_star: np.ndarray | None = None) -> np.ndarray:
-    """Route vector gradients back onto the maps.
-
-    Pooling selects and reorders, so the gradient scatters each upstream
-    entry to the flat position it was read from; positions touched by
-    both vectors accumulate. RBLD-zeroed entries pass nothing. Pooling
-    itself has no parameters.
-    """
-    if pooled.selected_indices is None:
-        raise StateError("tkp_backward needs the selection record from tkp_forward")
-    channels, h, w = pooled.map_shape
-    k = pooled.selected_indices.shape[1]
-    grad = np.zeros((channels, h * w))
-    # Positions are unique within each row of a selection, so indexed
-    # writes and adds never hit one position twice.
-    if upstream_vec is not None:
-        up = np.asarray(upstream_vec, dtype=np.float64).reshape(channels, k)
-        if pooled.dropped is not None:
-            up = up * ~pooled.dropped
-        np.put_along_axis(grad, pooled.selected_indices, up, axis=1)
-    if upstream_star is not None:
-        if pooled.star_indices is None:
-            raise StateError("tkp_backward got a star gradient but no star selection record")
-        up = np.asarray(upstream_star, dtype=np.float64).reshape(channels, k)
-        grad[np.arange(channels)[:, None], pooled.star_indices] += up
-    return grad.reshape(channels, h, w)
-
-
-# -- Tensor-graph wrappers ----------------------------------------------------
-
-
-def _split_samples(pooled: PooledVectors, n: int) -> list[PooledVectors]:
-    """Per-sample views of a record that pooled n samples' channels as rows."""
-    rows, h, w = pooled.map_shape
-
-    def split(a):
-        return [None] * n if a is None else np.split(a, n)
-
-    return [PooledVectors(*fields, map_shape=(rows // n, h, w))
-            for fields in zip(split(pooled.vector), split(pooled.vector_star),
-                              split(pooled.selected_indices), split(pooled.star_indices),
-                              split(pooled.dropped))]
+def _scatter(shape: tuple[int, ...], indices: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """Gradient on maps of ``shape`` from upstream values read at
+    ``indices`` (flat positions, one row per map). Positions are unique
+    within a row, so each lands once and no accumulation is needed."""
+    rows, k = indices.shape
+    grad = np.zeros((rows, shape[-2] * shape[-1]))
+    np.put_along_axis(grad, indices, upstream.reshape(rows, k), axis=1)
+    return grad.reshape(shape)
 
 
 def tkp_pool(x: Tensor, cfg: TkpConfig, rng: np.random.Generator | None = None
-             ) -> tuple[Tensor, Tensor | None, list[PooledVectors]]:
-    """Differentiable batched pooling.
+             ) -> tuple[Tensor, Tensor | None, PooledVectors]:
+    """Differentiable batched top-k pooling.
 
-    ``x`` is (N, C, H, W); returns the (N, C*k) vector tensor, the
-    (N, C*k) random-sample tensor (or None), and the per-sample pooling
-    records. All N*C channels are pooled as one stack, so the batch
-    costs one selection pass and one draw per random array.
+    ``x`` is (N, C, H, W); returns the (N, C*k) top-k tensor, the
+    (N, C*k) random-sample tensor (None without an rng or with RKS
+    off), and the selection record. Passing ``rng`` turns on the
+    enabled regularizers; without it the result is deterministic.
+
+    Pooling selects and reorders, so each backward scatters every
+    upstream entry to the position it was read from; RBLD-zeroed
+    entries pass nothing, and positions read by both vectors
+    accumulate. Pooling itself has no parameters.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"tkp_pool input must be NxCxHxW, got rank {x.data.ndim}")
     n, c, h, w = x.data.shape
     if n == 0:
         raise ShapeError("tkp_pool needs a non-empty batch")
-    pooled = tkp_forward(x.data.reshape(n * c, h, w), cfg, rng)
+    if cfg.k > h * w:
+        raise ConfigError(f"tkp k={cfg.k} exceeds map size {h}x{w}={h * w}")
+
+    flat = x.data.reshape(n * c, h * w)
+    selected = topk_ascending(flat, cfg.k)
+    vector = np.take_along_axis(flat, selected, axis=1)
+    dropped = star_idx = out_star = None
+    if rng is not None and cfg.rbld_enabled:
+        dropped = rng.random(selected.shape) <= rbld_probabilities(cfg.k, cfg.p_min, cfg.p_max)
+        vector[dropped] = 0.0
 
     def backward_vec():
-        x._accumulate(tkp_backward(pooled, out_vec.grad).reshape(x.data.shape))
+        up = out_vec.grad.reshape(selected.shape)
+        if dropped is not None:
+            up = up * ~dropped
+        x._accumulate(_scatter(x.data.shape, selected, up))
 
-    out_vec = Tensor._wrap(pooled.vector.reshape(n, -1), (x,), backward_vec)
+    out_vec = Tensor._wrap(vector.reshape(n, -1), (x,), backward_vec)
 
-    out_star = None
-    if pooled.vector_star is not None:
+    if rng is not None and cfg.rks_enabled:
+        pick = np.argpartition(rng.random(flat.shape), cfg.k - 1, axis=1)[:, :cfg.k]
+        picked = np.take_along_axis(flat, pick, axis=1)
+        order = np.lexsort((pick, picked))
+        star_idx = np.take_along_axis(pick, order, axis=1)
+
         def backward_star():
-            x._accumulate(tkp_backward(pooled, None, out_star.grad).reshape(x.data.shape))
+            x._accumulate(_scatter(x.data.shape, star_idx, out_star.grad))
 
-        out_star = Tensor._wrap(pooled.vector_star.reshape(n, -1), (x,), backward_star)
+        out_star = Tensor._wrap(np.take_along_axis(picked, order, axis=1).reshape(n, -1),
+                                (x,), backward_star)
 
-    return out_vec, out_star, _split_samples(pooled, n)
-
-
-def gap_forward(maps: np.ndarray) -> np.ndarray:
-    """Global average pooling: per-channel mean, shape (C,)."""
-    maps = np.asarray(maps, dtype=np.float64)
-    if maps.ndim != 3:
-        raise ShapeError(f"gap_forward maps must be CxHxW, got rank {maps.ndim}")
-    return maps.mean(axis=(1, 2))
-
-
-def gmp_forward(maps: np.ndarray) -> np.ndarray:
-    """Global max pooling: per-channel max, shape (C,)."""
-    maps = np.asarray(maps, dtype=np.float64)
-    if maps.ndim != 3:
-        raise ShapeError(f"gmp_forward maps must be CxHxW, got rank {maps.ndim}")
-    return maps.max(axis=(1, 2))
+    return out_vec, out_star, PooledVectors(selected, star_idx, dropped)
 
 
 def gap_pool(x: Tensor) -> Tensor:

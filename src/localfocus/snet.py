@@ -24,7 +24,6 @@ from .tensor import Tensor
 
 IN_CHANNELS = 3
 OUT_CHANNELS = 64
-_ACTIVATIONS = ("relu",)
 
 
 @dataclass(frozen=True)
@@ -35,14 +34,12 @@ class SNetConfig:
     channel_plan: output channels per conv layer; None derives
         (32, 64, 64, ...) of the right length. Must end in 64.
     pool_after: 1-based conv indices followed by a 2x2/stride-2 max-pool.
-    activation: nonlinearity between conv layers ("relu").
     bias: whether conv layers carry a per-channel bias.
     """
 
     num_conv_layers: int = 5
     channel_plan: tuple[int, ...] | None = None
     pool_after: frozenset[int] = frozenset({1, 2, 3})
-    activation: str = "relu"
     bias: bool = True
 
     def __post_init__(self):
@@ -67,8 +64,6 @@ class SNetConfig:
         object.__setattr__(self, "pool_after", pool)
         if any(i < 1 or i > self.num_conv_layers for i in pool):
             raise ConfigError(f"pool_after indices must lie in [1, {self.num_conv_layers}], got {sorted(pool)}")
-        if self.activation not in _ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}; supported: {_ACTIVATIONS}")
 
     def kernel_sizes(self) -> tuple[int, ...]:
         """Per-layer square kernel sizes: 2 everywhere, 1 for the last layer."""

@@ -52,8 +52,10 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # A fresh copy: never a view of another tensor's gradient.
+            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=np.float64)
+        else:
+            self.grad += g
 
     # -- basic protocol ---------------------------------------------------
 

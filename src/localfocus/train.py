@@ -9,7 +9,6 @@ deterministic by construction and ignores the stochastic flags.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -56,12 +55,6 @@ class TrainConfig:
             raise ConfigError(f"unknown pooling variant {self.pooling!r}")
         if self.pooling != "tkp" and (self.rbld or self.rks):
             raise ConfigError("rbld/rks only apply to tkp pooling")
-
-    def effective_rbld(self) -> bool:
-        return self.pooling == "tkp" if self.rbld is None else bool(self.rbld)
-
-    def effective_rks(self) -> bool:
-        return self.pooling == "tkp" if self.rks is None else bool(self.rks)
 
 
 @dataclass
@@ -128,7 +121,11 @@ def train(model: LfmModel, dataset: list[SampleRecord], cfg: TrainConfig) -> Tra
 
 def build_model(cfg: TrainConfig, *, npr_cfg=None, snet_cfg=None, tkp_cfg=None,
                 decision_threshold: float = 0.5, alpha: float | None = None) -> LfmModel:
-    """Construct the model a :class:`TrainConfig` describes."""
+    """Construct the model a :class:`TrainConfig` describes.
+
+    This is where ``cfg.rbld``/``cfg.rks`` become the model's
+    ``TkpConfig`` flags; unset, they follow the pooling variant.
+    """
     from dataclasses import replace
 
     from .model import DEFAULT_ALPHA
@@ -136,8 +133,10 @@ def build_model(cfg: TrainConfig, *, npr_cfg=None, snet_cfg=None, tkp_cfg=None,
     from .pooling import TkpConfig
     from .snet import SNetConfig
 
-    tkp = tkp_cfg or TkpConfig()
-    tkp = replace(tkp, rbld_enabled=cfg.effective_rbld(), rks_enabled=cfg.effective_rks())
+    tkp_default = cfg.pooling == "tkp"
+    tkp = replace(tkp_cfg or TkpConfig(),
+                  rbld_enabled=tkp_default if cfg.rbld is None else bool(cfg.rbld),
+                  rks_enabled=tkp_default if cfg.rks is None else bool(cfg.rks))
     return LfmModel(npr_cfg=npr_cfg or NprConfig(), snet_cfg=snet_cfg or SNetConfig(),
                     tkp_cfg=tkp, pooling=cfg.pooling, decision_threshold=decision_threshold,
                     alpha=DEFAULT_ALPHA if alpha is None else alpha, seed=cfg.seed)
@@ -215,21 +214,3 @@ def save_loss_curve(losses: list[float], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for i, loss in enumerate(losses):
             fh.write(f"{i}\t{loss!r}\n")
-
-
-def worker_count_from_env(flag_value: int | None, env: dict | None = None) -> int:
-    """Resolve bench worker count: explicit flag wins, then the
-    LOCALFOCUS_WORKERS environment variable, then 1."""
-    if flag_value is not None:
-        return flag_value
-    env = os.environ if env is None else env
-    raw = env.get("LOCALFOCUS_WORKERS")
-    if raw is None:
-        return 1
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ConfigError(f"LOCALFOCUS_WORKERS must be an integer, got {raw!r}") from None
-    if val < 1:
-        raise ConfigError(f"LOCALFOCUS_WORKERS must be >= 1, got {val}")
-    return val

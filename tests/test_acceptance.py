@@ -20,7 +20,7 @@ from localfocus import (LfmModel, NprConfig, ParseError, SNetConfig,
 from localfocus.gradcheck import check_gradient
 from localfocus.metrics import accuracy, average_precision
 from localfocus.model import total_param_count
-from localfocus.pooling import gap_pool, gmp_pool, tkp_forward, tkp_pool
+from localfocus.pooling import gap_pool, gmp_pool, tkp_pool
 from localfocus.snet import snet_param_count
 
 TINY_SNET = SNetConfig(num_conv_layers=3, channel_plan=(8, 16, 64),
@@ -100,7 +100,7 @@ def test_criterion_01_gradient_suite():
         run("npr_extract", lambda t: npr_extract(t, NprConfig(take_abs=False)).sum(),
             rng.normal(size=(2, 6, 6)))
 
-        cfg = TkpConfig(k=3, training=True, rbld_enabled=True, rks_enabled=True)
+        cfg = TkpConfig(k=3, rbld_enabled=True, rks_enabled=True)
         uv = Tensor(rng.normal(size=(2, 2 * 3)))
         us = Tensor(rng.normal(size=(2, 2 * 3)))
 
@@ -135,12 +135,12 @@ def test_criterion_02_topk_matches_oracle():
             maps = np.round(maps * 2.0) / 2.0
         n = h * w
         for k in (1, 4, n):
-            pooled = tkp_forward(maps, TkpConfig(k=k))
+            vec, _, pooled = tkp_pool(Tensor(maps[None]), TkpConfig(k=k))
             for ch in range(c):
                 row = maps[ch].reshape(-1)
                 expect = sorted(range(n), key=lambda i: (row[i], i))[n - k:]
                 got = pooled.selected_indices[ch].tolist()
-                vals = pooled.vector[ch * k:(ch + 1) * k]
+                vals = vec.data[0][ch * k:(ch + 1) * k]
                 checked += 1
                 if got != expect or not np.array_equal(vals, row[expect]):
                     mismatches += 1
@@ -154,7 +154,7 @@ def test_criterion_02_topk_matches_oracle():
 
 def test_criterion_03_rbld_rates():
     k, p_min, p_max = 8, 0.1, 0.3
-    cfg = TkpConfig(k=k, p_min=p_min, p_max=p_max, training=True,
+    cfg = TkpConfig(k=k, p_min=p_min, p_max=p_max,
                     rbld_enabled=True, rks_enabled=False)
     rng = np.random.default_rng(3)
     calls = 300
@@ -162,7 +162,7 @@ def test_criterion_03_rbld_rates():
     drops = np.zeros(k)
     for _ in range(calls):
         maps = rng.uniform(0.5, 1.5, size=(channels, 5, 5))
-        pooled = tkp_forward(maps, cfg, rng)
+        _, _, pooled = tkp_pool(Tensor(maps[None]), cfg, rng)
         drops += pooled.dropped.sum(axis=0)
     rates = drops / (calls * channels)
     expected = p_min + (p_max - p_min) * np.arange(k) / (k - 1)
@@ -178,7 +178,7 @@ def test_criterion_03_rbld_rates():
 def test_criterion_04_rks_marginals():
     k, h, w = 8, 5, 5
     n = h * w
-    cfg = TkpConfig(k=k, training=True, rbld_enabled=False, rks_enabled=True)
+    cfg = TkpConfig(k=k, rbld_enabled=False, rks_enabled=True)
     rng = np.random.default_rng(4)
     calls = 300
     channels = 64
@@ -186,7 +186,7 @@ def test_criterion_04_rks_marginals():
     replacement_errors = 0
     for _ in range(calls):
         maps = rng.normal(size=(channels, h, w))
-        pooled = tkp_forward(maps, cfg, rng)
+        _, _, pooled = tkp_pool(Tensor(maps[None]), cfg, rng)
         for ch in range(channels):
             picks = pooled.star_indices[ch]
             if len(set(picks.tolist())) != k:

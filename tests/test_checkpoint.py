@@ -1,11 +1,14 @@
 """Checkpoint serialization: byte-stable round trips and corruption detection."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from localfocus import (LfmModel, NprConfig, ParseError, SNetConfig,
                         TkpConfig, load_checkpoint, save_checkpoint)
-from localfocus.checkpoint import MAGIC, VERSION
+from localfocus.checkpoint import MAGIC, VERSION, _config_payload
 
 
 def odd_model(pooling="tkp"):
@@ -88,10 +91,12 @@ class TestCorruption:
 
     def test_bad_version(self, tmp_path):
         _, blob = save_bytes(odd_model(), tmp_path)
-        path = self._write(tmp_path, blob[:4] + (99).to_bytes(4, "little") + blob[8:])
-        with pytest.raises(ParseError, match="version") as exc:
-            load_checkpoint(path)
-        assert exc.value.offset == 4
+        # Version 1 (activation byte, no parameter checksum) is refused too.
+        for version in (99, 1):
+            path = self._write(tmp_path, blob[:4] + version.to_bytes(4, "little") + blob[8:])
+            with pytest.raises(ParseError, match="version") as exc:
+                load_checkpoint(path)
+            assert exc.value.offset == 4
 
     def test_header_tamper_trips_checksum(self, tmp_path):
         _, blob = save_bytes(odd_model(), tmp_path)
@@ -128,6 +133,34 @@ class TestCorruption:
         with pytest.raises(ParseError, match="shaped"):
             load_checkpoint(path)
 
+    def test_payload_tamper_trips_checksum(self, tmp_path):
+        model = odd_model()
+        _, blob = save_bytes(model, tmp_path)
+        payload_start = 8 + len(_config_payload(model)) + 8
+        tampered = bytearray(blob)
+        tampered[-2] ^= 0x01  # inside the head bias value: still parseable
+        path = self._write(tmp_path, bytes(tampered))
+        with pytest.raises(ParseError, match="parameter checksum") as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == payload_start
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, bad):
+        # A NaN/inf written with a matching checksum (a buggy writer, not
+        # transport damage) must still not load: it would score as a label.
+        model = odd_model()
+        _, blob = save_bytes(model, tmp_path)
+        payload_start = 8 + len(_config_payload(model)) + 8
+        tampered = bytearray(blob)
+        tampered[-4:] = np.float32(bad).tobytes()
+        tampered[payload_start - 4:payload_start] = struct.pack(
+            "<I", zlib.crc32(bytes(tampered[payload_start:])))
+        path = self._write(tmp_path, bytes(tampered))
+        last = len(model.parameters()) - 1
+        with pytest.raises(ParseError, match=f"array {last} holds a non-finite") as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == len(blob) - 4
+
     def test_format_constants(self):
         assert MAGIC == b"LFM1"
-        assert VERSION == 1
+        assert VERSION == 2

@@ -114,13 +114,6 @@ class TestEndToEnd:
         assert rc == 2
         assert "100" in capsys.readouterr().err
 
-    def test_bench_rejects_bad_env_workers(self, workspace, monkeypatch, capsys):
-        monkeypatch.setenv("LOCALFOCUS_WORKERS", "lots")
-        rc = main(["bench", "--checkpoint", workspace["best"],
-                   "--manifest", workspace["test_manifest"]])
-        assert rc == 2
-        assert "LOCALFOCUS_WORKERS" in capsys.readouterr().err
-
 
 class TestExitCodes:
     def test_no_command(self, capsys):

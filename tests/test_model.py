@@ -119,6 +119,15 @@ class TestForwardTrain:
         with pytest.raises(ConfigError):
             tiny_model().forward_train([], [], np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_image_rejected(self, bad):
+        model = tiny_model()
+        images, labels = tiny_batch(n=3)
+        images[2][1, 4, 7] = bad
+        with pytest.raises(DomainError, match=r"batch image 2 .*\(1, 4, 7\)"):
+            model.forward_train(images, labels, np.random.default_rng(0))
+        assert all(p.grad is None for p in model.parameters())
+
     def test_count_mismatch(self):
         model = tiny_model()
         images, _ = tiny_batch(n=3)
@@ -200,6 +209,14 @@ class TestInference:
     def test_score_requires_single_image(self):
         with pytest.raises(ShapeError):
             tiny_model().score(np.zeros((2, 3, 16, 16)))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_image_rejected(self, bad):
+        img = tiny_batch(n=1)[0][0]
+        img[0, 0, 3] = bad
+        for call in (tiny_model().score, tiny_model().infer):
+            with pytest.raises(DomainError, match=r"image has a non-finite pixel .*\(0, 0, 3\)"):
+                call(img)
 
     def test_training_does_not_change_inference_path(self):
         # Same parameters => same score, regardless of how cfg flags are set.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from localfocus import (ConfigError, DomainError, ShapeError, Tensor,
-                        bce_loss, bce_loss_mean, conv2d, linear, maxpool2d)
+                        bce_loss_mean, conv2d, linear, maxpool2d)
 from localfocus.gradcheck import check_gradient
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -264,18 +264,18 @@ class TestLinear:
 
 class TestBceLoss:
     def test_frozen_values(self):
-        assert bce_loss(Tensor([0.5]), 1).item() == pytest.approx(np.log(2.0), rel=1e-12)
-        assert bce_loss(Tensor([0.9]), 0).item() == pytest.approx(-np.log(0.1), rel=1e-9)
-        assert bce_loss(Tensor([1.0 - 1e-12]), 1).item() == pytest.approx(1e-12, abs=1e-13)
+        assert bce_loss_mean(Tensor([0.5]), [1]).item() == pytest.approx(np.log(2.0), rel=1e-12)
+        assert bce_loss_mean(Tensor([0.9]), [0]).item() == pytest.approx(-np.log(0.1), rel=1e-9)
+        assert bce_loss_mean(Tensor([1.0 - 1e-12]), [1]).item() == pytest.approx(1e-12, abs=1e-13)
 
     def test_clamp_keeps_loss_finite(self):
-        loss = bce_loss(Tensor([0.0]), 1)
+        loss = bce_loss_mean(Tensor([0.0]), [1])
         assert np.isfinite(loss.item())
         assert loss.item() == pytest.approx(-np.log(1e-12))
 
     def test_label_domain(self):
         with pytest.raises(DomainError):
-            bce_loss(Tensor([0.5]), 2)
+            bce_loss_mean(Tensor([0.5]), [2])
         with pytest.raises(DomainError):
             bce_loss_mean(Tensor([0.5, 0.5]), [0, 3])
 
@@ -303,13 +303,13 @@ class TestBceLoss:
 
     def test_gradient_zero_in_clamped_region(self):
         p = Tensor([0.0], requires_grad=True)
-        bce_loss(p, 1).backward()
+        bce_loss_mean(p, [1]).backward()
         np.testing.assert_array_equal(p.grad, [0.0])
 
     def test_sigmoid_chain_matches_closed_form(self):
         # d/dz bce(sigmoid(z), y) = sigmoid(z) - y
         for y in (0, 1):
             z = Tensor([0.7], requires_grad=True)
-            bce_loss(z.sigmoid(), y).backward()
+            bce_loss_mean(z.sigmoid(), [y]).backward()
             s = 1.0 / (1.0 + np.exp(-0.7))
             np.testing.assert_allclose(z.grad, [s - y], rtol=1e-10)

@@ -45,10 +45,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SNetConfig(pool_after=frozenset({6}))
 
-    def test_unknown_activation(self):
-        with pytest.raises(ConfigError):
-            SNetConfig(activation="tanh")
-
     def test_positive_channels(self):
         with pytest.raises(ConfigError):
             SNetConfig(num_conv_layers=2, channel_plan=(0, 64))

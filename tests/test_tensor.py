@@ -80,6 +80,17 @@ class TestArithmetic:
         y.backward()
         np.testing.assert_allclose(a.grad, [9.0])
 
+    def test_first_gradient_is_a_private_copy(self):
+        # add hands the same upstream array to both inputs, and the root
+        # receives the caller's array: no gradient may alias another.
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        up = np.array([1.0, 2.0, 3.0])
+        (a + b).backward(up)
+        a.grad += 1.0
+        np.testing.assert_array_equal(b.grad, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(up, [1.0, 2.0, 3.0])
+
     def test_no_grad_inputs_build_no_graph(self):
         a = Tensor([1.0])
         out = a.relu()

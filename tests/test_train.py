@@ -1,14 +1,17 @@
 """Training loop, evaluation, and bench plumbing."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from localfocus import (ConfigError, DomainError, SNetConfig, TkpConfig,
                         TrainConfig, bench, build_model, evaluate, gen_fake,
                         gen_real, save_checkpoint, train)
+from localfocus.cli import _BENCH_FIELDS
 from localfocus.metrics import EvalReport
 from localfocus.model import total_param_count
-from localfocus.train import save_loss_curve, worker_count_from_env
+from localfocus.train import save_loss_curve
 
 TINY_SNET = SNetConfig(num_conv_layers=3, channel_plan=(8, 16, 64),
                        pool_after=frozenset({1, 2}))
@@ -28,15 +31,17 @@ class TestTrainConfig:
     def test_defaults(self):
         cfg = TrainConfig()
         assert cfg.pooling == "tkp"
-        assert cfg.effective_rbld() and cfg.effective_rks()
+        tkp = tiny_model(cfg).tkp_cfg
+        assert tkp.rbld_enabled and tkp.rks_enabled
 
     def test_stochastic_flags_default_off_outside_tkp(self):
-        cfg = TrainConfig(pooling="gap")
-        assert not cfg.effective_rbld() and not cfg.effective_rks()
+        tkp = tiny_model(TrainConfig(pooling="gap")).tkp_cfg
+        assert not tkp.rbld_enabled and not tkp.rks_enabled
 
     def test_explicit_flags_win(self):
         cfg = TrainConfig(pooling="tkp", rbld=False, rks=False)
-        assert not cfg.effective_rbld() and not cfg.effective_rks()
+        tkp = tiny_model(cfg).tkp_cfg
+        assert not tkp.rbld_enabled and not tkp.rks_enabled
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -177,20 +182,10 @@ class TestBench:
 
 
 class TestWorkerCount:
-    def test_flag_wins(self):
-        assert worker_count_from_env(4, {"LOCALFOCUS_WORKERS": "9"}) == 4
-
-    def test_env_fallback(self):
-        assert worker_count_from_env(None, {"LOCALFOCUS_WORKERS": "9"}) == 9
-
     def test_default_one(self):
-        assert worker_count_from_env(None, {}) == 1
-
-    def test_bad_env(self):
-        with pytest.raises(ConfigError):
-            worker_count_from_env(None, {"LOCALFOCUS_WORKERS": "many"})
-        with pytest.raises(ConfigError):
-            worker_count_from_env(None, {"LOCALFOCUS_WORKERS": "0"})
+        # Neither bench() nor `localfocus bench` needs a worker count.
+        assert inspect.signature(bench).parameters["workers"].default == 1
+        assert {f.name: f.default for f in _BENCH_FIELDS}["workers"] == 1
 
 
 class TestLossCurve:
