@@ -17,7 +17,7 @@ from .metrics import EvalReport, accuracy, average_precision
 from .model import LfmModel, LossReport, total_param_count
 from .npr import NprConfig, npr_extract
 from .ops import bce_loss_mean, conv2d, linear, maxpool2d
-from .optim import Adam, AdamState, adam_step
+from .optim import Adam
 from .pooling import (PooledVectors, TkpConfig, gap_pool, gmp_pool,
                       rbld_probabilities, tkp_pool, topk_ascending)
 from .ppm import load_ppm, save_ppm
@@ -30,11 +30,11 @@ from .train import (BenchReport, TrainConfig, TrainResult, bench, build_model,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adam", "AdamState", "BenchReport", "ConfigError", "DatasetManifest",
+    "Adam", "BenchReport", "ConfigError", "DatasetManifest",
     "DomainError", "EvalReport", "LfmModel", "LossReport", "NprConfig",
     "ParseError", "PooledVectors", "SNet", "SNetConfig", "SampleRecord",
     "ShapeError", "StateError", "Tensor", "TkpConfig", "TrainConfig",
-    "TrainResult", "accuracy", "adam_step", "average_precision",
+    "TrainResult", "accuracy", "average_precision",
     "bce_loss_mean", "bench", "build_model", "check_gradient", "conv2d",
     "evaluate", "gap_pool", "gen_fake", "gen_real", "gmp_pool", "linear",
     "load_checkpoint", "load_dataset", "load_ppm", "maxpool2d", "npr_extract",

@@ -28,7 +28,7 @@ import zlib
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .model import POOLING_VARIANTS, LfmModel
 from .npr import NprConfig
 from .pooling import TkpConfig
@@ -56,12 +56,18 @@ def _config_payload(model: LfmModel) -> bytes:
 
 
 def save_checkpoint(model: LfmModel, path: str) -> None:
-    """Serialize configs and parameters to ``path``."""
+    """Serialize configs and parameters to ``path``. A parameter that is
+    not finite in float32 raises :class:`DomainError` and writes no file."""
     head = MAGIC + struct.pack("<I", VERSION) + _config_payload(model)
     params = model.parameters()
     payload = [struct.pack("<I", len(params))]
-    for p in params:
-        arr = p.data.astype(np.float32)
+    for i, p in enumerate(params):
+        with np.errstate(over="ignore", invalid="ignore"):
+            arr = p.data.astype(np.float32)
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise DomainError(f"array {i} element {bad[0]} holds {float(p.data.flat[bad[0]])!r}, "
+                              "which is not finite in float32; checkpoint not written")
         payload.append(struct.pack("<I", arr.ndim))
         payload.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         payload.append(arr.tobytes(order="C"))

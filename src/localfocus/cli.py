@@ -23,7 +23,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (DatasetManifest, gen_fake, gen_real, load_dataset,
                    read_manifest, write_manifest)
 from .errors import ConfigError, DomainError, ParseError, ShapeError, StateError
-from .model import LfmModel
+from .model import DEFAULT_ALPHA, DEFAULT_THRESHOLD
 from .npr import NprConfig
 from .pooling import TkpConfig
 from .ppm import load_ppm, save_ppm
@@ -158,30 +158,31 @@ def emit_config(fields: list[Field], resolved: dict) -> str:
 # -- field registries ----------------------------------------------------------
 
 _MODEL_FIELDS = [
-    Field("window", "int", 2, "residual grid pitch (pixels)"),
-    Field("anchor_index", "int", 0, "row-major anchor position inside each window"),
-    Field("take_abs", "bool", True, "feed |residual| instead of the signed residual"),
-    Field("num_conv_layers", "int", 5, "conv layers in the salience net"),
-    Field("channel_plan", "intlist", None, "output channels per conv layer (must end in 64)"),
-    Field("pool_after", "intlist", (1, 2, 3), "1-based conv indices followed by a 2x2 max-pool"),
-    Field("bias", "bool", True, "per-channel conv bias"),
-    Field("pooling", "str", "tkp", "pooling variant: tkp, gap, or gmp"),
-    Field("k", "int", 16, "activations kept per channel by top-k pooling"),
-    Field("p_min", "float", 0.1, "dropout probability at the lowest kept rank"),
-    Field("p_max", "float", 0.3, "dropout probability at the highest kept rank"),
-    Field("rbld", "bool", None, "rank-based dropout during training (default: on for tkp)"),
-    Field("rks", "bool", None, "random-sample auxiliary vector during training (default: on for tkp)"),
-    Field("decision_threshold", "float", 0.5, "probability cutoff for the fake label"),
-    Field("alpha", "float", 0.1, "weight of the auxiliary loss term"),
+    Field("window", "int", NprConfig.window, "residual grid pitch (pixels)"),
+    Field("anchor_index", "int", NprConfig.anchor_index, "row-major anchor position inside each window"),
+    Field("take_abs", "bool", NprConfig.take_abs, "feed |residual| instead of the signed residual"),
+    Field("num_conv_layers", "int", SNetConfig.num_conv_layers, "conv layers in the salience net"),
+    Field("channel_plan", "intlist", SNetConfig.channel_plan, "output channels per conv layer (must end in 64)"),
+    Field("pool_after", "intlist", tuple(sorted(SNetConfig.pool_after)),
+          "1-based conv indices followed by a 2x2 max-pool"),
+    Field("bias", "bool", SNetConfig.bias, "per-channel conv bias"),
+    Field("pooling", "str", TrainConfig.pooling, "pooling variant: tkp, gap, or gmp"),
+    Field("k", "int", TkpConfig.k, "activations kept per channel by top-k pooling"),
+    Field("p_min", "float", TkpConfig.p_min, "dropout probability at the lowest kept rank"),
+    Field("p_max", "float", TkpConfig.p_max, "dropout probability at the highest kept rank"),
+    Field("rbld", "bool", TrainConfig.rbld, "rank-based dropout during training (default: on for tkp)"),
+    Field("rks", "bool", TrainConfig.rks, "random-sample auxiliary vector during training (default: on for tkp)"),
+    Field("decision_threshold", "float", DEFAULT_THRESHOLD, "probability cutoff for the fake label"),
+    Field("alpha", "float", DEFAULT_ALPHA, "weight of the auxiliary loss term"),
 ]
 
 _TRAIN_FIELDS = [
     Field("manifest", "str", None, "training manifest (path<TAB>label<TAB>tag)", required=True),
     Field("out", "str", None, "output directory for checkpoints and logs", required=True),
-    Field("lr", "float", 1e-4, "Adam learning rate"),
-    Field("batch_size", "int", 32, "samples per optimizer step"),
-    Field("epochs", "int", 1, "passes over the training set"),
-    Field("seed", "int", 0, "run seed; fixes init, shuffles, and dropout"),
+    Field("lr", "float", TrainConfig.lr, "Adam learning rate"),
+    Field("batch_size", "int", TrainConfig.batch_size, "samples per optimizer step"),
+    Field("epochs", "int", TrainConfig.epochs, "passes over the training set"),
+    Field("seed", "int", TrainConfig.seed, "run seed; fixes init, shuffles, and dropout"),
 ] + _MODEL_FIELDS
 
 _GEN_FIELDS = [
@@ -333,7 +334,6 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     for name, fields, _fn, help_text in _COMMANDS:
         p = sub.add_parser(name, help=help_text, description=help_text)
-        p.__class__ = _Parser  # subparsers must also map usage errors to exit 1
         _add_arguments(p, fields)
     return parser
 

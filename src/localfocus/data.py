@@ -48,9 +48,7 @@ class SampleRecord:
 def _bilinear_resize(src: np.ndarray, out_hw: int) -> np.ndarray:
     """Resize (C, g, g) to (C, out_hw, out_hw) with bilinear sampling,
     pixel centers aligned and edges clamped."""
-    c, g, _ = src.shape
-    if g == out_hw:
-        return src.copy()
+    g = src.shape[1]
     coords = (np.arange(out_hw) + 0.5) * (g / out_hw) - 0.5
     base = np.floor(coords)
     frac = coords - base
@@ -85,16 +83,16 @@ def _normalize(img: np.ndarray) -> np.ndarray:
     return (img - lo) / (hi - lo)
 
 
-def gen_real(n: int, size: int, rng: np.random.Generator, window: int = 2) -> list[SampleRecord]:
+def gen_real(n: int, size: int, rng: np.random.Generator) -> list[SampleRecord]:
     """Generate ``n`` smooth real images of side ``size`` (label 0).
 
-    ``size`` must be divisible by ``window`` so downstream residual
-    extraction accepts the images, and large enough to host an octave.
+    ``size`` must be even, as :func:`gen_fake` and the 2x2 residual
+    grid need, and large enough to host an octave.
     """
     if n < 1:
         raise ConfigError(f"gen_real needs n >= 1, got {n}")
-    if size < _MIN_SIZE or size % window != 0:
-        raise ConfigError(f"gen_real size must be >= {_MIN_SIZE} and divisible by {window}, got {size}")
+    if size < _MIN_SIZE or size % 2 != 0:
+        raise ConfigError(f"gen_real size must be >= {_MIN_SIZE} and divisible by 2, got {size}")
     base = int(rng.integers(0, 2**63 - 1))
     out = []
     for i in range(n):

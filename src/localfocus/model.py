@@ -24,6 +24,7 @@ from .tensor import Tensor
 
 POOLING_VARIANTS = ("tkp", "gap", "gmp")
 DEFAULT_ALPHA = 0.1
+DEFAULT_THRESHOLD = 0.5
 
 
 @dataclass
@@ -56,7 +57,7 @@ class LfmModel:
                  snet_cfg: SNetConfig | None = None,
                  tkp_cfg: TkpConfig | None = None,
                  pooling: str = "tkp",
-                 decision_threshold: float = 0.5,
+                 decision_threshold: float = DEFAULT_THRESHOLD,
                  alpha: float = DEFAULT_ALPHA,
                  seed: int = 0):
         if pooling not in POOLING_VARIANTS:
@@ -93,15 +94,18 @@ class LfmModel:
 
     # -- forward paths ----------------------------------------------------------
 
-    def _pool(self, maps: Tensor, rng: np.random.Generator | None):
+    def _forward(self, batch: np.ndarray, rng: np.random.Generator | None
+                 ) -> tuple[Tensor, Tensor | None]:
+        """npr -> snet -> pool -> head over an (N, 3, H, W) batch: the (N, 1)
+        top-k probabilities and, when random-k sampling ran, the random-sample
+        probabilities (else None)."""
+        maps = self.snet.forward(npr_extract(Tensor(batch), self.npr_cfg))
         if self.pooling == "tkp":
-            return tkp_pool(maps, self.tkp_cfg, rng)
-        if self.pooling == "gap":
-            return gap_pool(maps), None, None
-        return gmp_pool(maps), None, None
-
-    def _score(self, vec: Tensor) -> Tensor:
-        return linear(vec, self.fc_weight, self.fc_bias).sigmoid()
+            vec, star, _ = tkp_pool(maps, self.tkp_cfg, rng)
+        else:
+            vec, star = (gap_pool(maps) if self.pooling == "gap" else gmp_pool(maps)), None
+        probs = linear(vec, self.fc_weight, self.fc_bias).sigmoid()
+        return probs, None if star is None else linear(star, self.fc_weight, self.fc_bias).sigmoid()
 
     def forward_train(self, images, labels, rng: np.random.Generator
                       ) -> tuple[list[float], list[float] | None, LossReport]:
@@ -125,20 +129,14 @@ class LfmModel:
             raise DomainError("labels must be 0 or 1")
 
         self.zero_grad()
-        x = Tensor(np.stack(images))
-        maps = self.snet.forward(npr_extract(x, self.npr_cfg))
-        vec, star, _ = self._pool(maps, rng)
-        probs = self._score(vec)  # (N, 1)
+        probs, star_probs = self._forward(np.stack(images), rng)
         loss_a = bce_loss_mean(probs, labels)
-        star_probs = None
-        if star is not None:
-            star_probs = self._score(star)
+        if star_probs is None:
+            total, loss_b_val = loss_a, 0.0
+        else:
             loss_b = bce_loss_mean(star_probs, labels)
             total = loss_a + self.alpha * loss_b
             loss_b_val = loss_b.item()
-        else:
-            total = loss_a
-            loss_b_val = 0.0
         total.backward(release_graph=True)
 
         report = LossReport(loss_a=loss_a.item(), loss_b=loss_b_val, alpha=self.alpha,
@@ -153,10 +151,8 @@ class LfmModel:
         if image.ndim != 3:
             raise ShapeError(f"score expects one 3xHxW image, got rank {image.ndim}")
         _check_finite(image, "image")
-        x = Tensor(image[None])
-        maps = self.snet.forward(npr_extract(x, self.npr_cfg))
-        vec, _, _ = self._pool(maps, None)
-        return self._score(vec).data.reshape(-1)[0]
+        probs, _ = self._forward(image[None], None)
+        return probs.data.reshape(-1)[0]
 
     def infer(self, image: np.ndarray) -> tuple[float, int]:
         """(probability, hard label) with label = probability >= threshold."""

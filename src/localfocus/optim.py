@@ -14,7 +14,7 @@ Note eps sits outside the square root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,58 +23,37 @@ from .tensor import Tensor
 
 
 @dataclass
-class AdamState:
-    """First/second moment buffers and step counter for one parameter."""
-
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-
-def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
-    """Apply one in-place Adam update to ``param``."""
-    if grad.shape != param.shape:
-        raise ConfigError(f"adam_step gradient shape {grad.shape} != parameter shape {param.shape}")
-    state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (grad * grad)
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    param -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-
-
-@dataclass
 class Adam:
-    """Convenience wrapper driving ``adam_step`` over a parameter list."""
+    """Adam over a fixed parameter list: one step count ``t`` and one
+    ``m``/``v`` moment buffer per parameter."""
 
     params: list[Tensor]
     lr: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    states: list[AdamState] = field(init=False)
 
     def __post_init__(self):
         if not (0.0 <= self.beta1 < 1.0) or not (0.0 <= self.beta2 < 1.0):
             raise ConfigError(f"adam betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
         if self.eps <= 0.0:
             raise ConfigError(f"adam eps must be positive, got {self.eps}")
-        self.states = [
-            AdamState(m=np.zeros_like(p.data), v=np.zeros_like(p.data),
-                      lr=self.lr, beta1=self.beta1, beta2=self.beta2, eps=self.eps)
-            for p in self.params
-        ]
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
-        for p, s in zip(self.params, self.states):
+        """Update every parameter in place; all gradients are checked
+        first, so a failed step changes no parameter, moment or ``t``."""
+        for i, p in enumerate(self.params):
             if p.grad is None:
-                raise StateError("adam step called before backward populated a gradient")
-            adam_step(p.data, p.grad, s)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+                raise StateError(f"adam step called before backward populated gradient {i}")
+            if p.grad.shape != p.data.shape:
+                raise ConfigError(f"adam gradient {i} shaped {p.grad.shape} != parameter {p.data.shape}")
+        self.t += 1
+        for i, p in enumerate(self.params):
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * p.grad
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (p.grad * p.grad)
+            m_hat = self.m[i] / (1.0 - self.beta1 ** self.t)
+            v_hat = self.v[i] / (1.0 - self.beta2 ** self.t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

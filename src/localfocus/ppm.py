@@ -60,7 +60,6 @@ class _ByteCursor:
         return raw[start:self.pos]
 
     def read_int(self, what: str) -> int:
-        start_after_sep = None
         self.skip_separators()
         start_after_sep = self.pos
         tok = self.read_token(what)

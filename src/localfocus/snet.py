@@ -137,9 +137,6 @@ class SNet:
                 out.append(b)
         return out
 
-    def param_count(self) -> int:
-        return sum(p.data.size for p in self.parameters())
-
     def forward(self, x: Tensor) -> Tensor:
         """Run the stack on residual features (CxHxW or NxCxHxW)."""
         if x.data.ndim not in (3, 4):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .errors import ConfigError, DomainError
 from .metrics import EvalReport, accuracy, average_precision
 from .model import POOLING_VARIANTS, LfmModel, total_param_count
 from .optim import Adam
+from .pooling import TkpConfig
 
 _SHUFFLE_TAG = 101
 _STEP_TAG = 202
@@ -119,27 +120,19 @@ def train(model: LfmModel, dataset: list[SampleRecord], cfg: TrainConfig) -> Tra
                        epoch_losses=epoch_losses)
 
 
-def build_model(cfg: TrainConfig, *, npr_cfg=None, snet_cfg=None, tkp_cfg=None,
-                decision_threshold: float = 0.5, alpha: float | None = None) -> LfmModel:
+def build_model(cfg: TrainConfig, *, tkp_cfg: TkpConfig | None = None, **model_kwargs) -> LfmModel:
     """Construct the model a :class:`TrainConfig` describes.
 
     This is where ``cfg.rbld``/``cfg.rks`` become the model's
-    ``TkpConfig`` flags; unset, they follow the pooling variant.
+    ``TkpConfig`` flags; unset, they follow the pooling variant. Other
+    keyword arguments (``npr_cfg``, ``snet_cfg``, ``decision_threshold``,
+    ``alpha``) go to :class:`LfmModel` unchanged.
     """
-    from dataclasses import replace
-
-    from .model import DEFAULT_ALPHA
-    from .npr import NprConfig
-    from .pooling import TkpConfig
-    from .snet import SNetConfig
-
     tkp_default = cfg.pooling == "tkp"
     tkp = replace(tkp_cfg or TkpConfig(),
                   rbld_enabled=tkp_default if cfg.rbld is None else bool(cfg.rbld),
                   rks_enabled=tkp_default if cfg.rks is None else bool(cfg.rks))
-    return LfmModel(npr_cfg=npr_cfg or NprConfig(), snet_cfg=snet_cfg or SNetConfig(),
-                    tkp_cfg=tkp, pooling=cfg.pooling, decision_threshold=decision_threshold,
-                    alpha=DEFAULT_ALPHA if alpha is None else alpha, seed=cfg.seed)
+    return LfmModel(tkp_cfg=tkp, pooling=cfg.pooling, seed=cfg.seed, **model_kwargs)
 
 
 def evaluate(model: LfmModel, dataset: list[SampleRecord]) -> EvalReport:

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from localfocus import Adam, AdamState, ConfigError, StateError, Tensor, adam_step
-from localfocus.optim import adam_step as _adam_step
+from localfocus import Adam, ConfigError, StateError, Tensor
 
 
 def reference_adam(theta, grads, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -21,70 +20,65 @@ def reference_adam(theta, grads, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8):
     return theta
 
 
+def stepped(p0, grads, **hyper):
+    """Run ``Adam`` over one parameter initialised to ``p0``, feeding
+    ``grads`` one step each; returns the optimizer."""
+    param = Tensor(np.array(p0, dtype=np.float64), requires_grad=True)
+    opt = Adam([param], **hyper)
+    for g in grads:
+        param.grad = np.array(g, dtype=np.float64)
+        opt.step()
+    return opt
+
+
 class TestAdamStep:
     def test_two_step_scalar_trace(self):
-        state = AdamState(m=np.zeros(1), v=np.zeros(1), lr=0.1)
-        p = np.array([1.0])
-        adam_step(p, np.array([0.5]), state)
-        adam_step(p, np.array([-0.3]), state)
+        opt = stepped([1.0], [[0.5], [-0.3]], lr=0.1)
         expected = reference_adam(1.0, [0.5, -0.3], lr=0.1)
-        np.testing.assert_allclose(p, [expected], rtol=1e-15)
-        assert state.t == 2
+        np.testing.assert_allclose(opt.params[0].data, [expected], rtol=1e-15)
+        assert opt.t == 2
 
     def test_longer_trace_random_grads(self):
         rng = np.random.default_rng(11)
         grads = rng.normal(size=20)
-        state = AdamState(m=np.zeros(1), v=np.zeros(1), lr=3e-3)
-        p = np.array([0.7])
-        for g in grads:
-            adam_step(p, np.array([g]), state)
-        np.testing.assert_allclose(p, [reference_adam(0.7, grads.tolist(), lr=3e-3)],
+        opt = stepped([0.7], [[g] for g in grads], lr=3e-3)
+        np.testing.assert_allclose(opt.params[0].data, [reference_adam(0.7, grads.tolist(), lr=3e-3)],
                                    rtol=1e-13)
 
     def test_first_step_magnitude_is_lr_times_sign(self):
         # After one step m_hat = g, v_hat = g^2, so the update is
         # lr * g / (|g| + eps) ~ lr * sign(g).
         for g in (0.5, -2.0, 1e-3):
-            state = AdamState(m=np.zeros(1), v=np.zeros(1), lr=1e-4)
-            p = np.array([0.0])
-            adam_step(p, np.array([g]), state)
-            np.testing.assert_allclose(p, [-1e-4 * np.sign(g)], rtol=1e-4)
+            opt = stepped([0.0], [[g]], lr=1e-4)
+            np.testing.assert_allclose(opt.params[0].data, [-1e-4 * np.sign(g)], rtol=1e-4)
 
     def test_eps_sits_outside_sqrt(self):
         # With v_hat = g^2 tiny, lr*g/(sqrt(v_hat)+eps) differs measurably
         # from lr*g/sqrt(v_hat+eps): 9.99e-7 vs ~3.16e-8 for g=1e-10.
         g = 1e-10
-        state = AdamState(m=np.zeros(1), v=np.zeros(1), lr=1e-6)
-        p = np.array([0.0])
-        adam_step(p, np.array([g]), state)
+        opt = stepped([0.0], [[g]], lr=1e-6)
         outside = 1e-6 * g / (g + 1e-8)          # ~9.9e-9
         inside = 1e-6 * g / np.sqrt(g * g + 1e-8)  # ~1e-12
-        update = -p[0]
+        update = -opt.params[0].data[0]
         assert update == pytest.approx(outside, rel=1e-9)
         assert update > 100.0 * inside
 
     def test_zero_gradient_is_a_no_op_on_params(self):
-        state = AdamState(m=np.zeros(3), v=np.zeros(3), lr=0.5)
-        p = np.array([1.0, -2.0, 3.0])
-        before = p.copy()
-        adam_step(p, np.zeros(3), state)
-        np.testing.assert_array_equal(p, before)
-        assert state.t == 1
+        opt = stepped([1.0, -2.0, 3.0], [np.zeros(3)], lr=0.5)
+        np.testing.assert_array_equal(opt.params[0].data, [1.0, -2.0, 3.0])
+        assert opt.t == 1
 
     def test_zero_lr_freezes_params(self):
-        state = AdamState(m=np.zeros(2), v=np.zeros(2), lr=0.0)
-        p = np.array([1.0, 2.0])
-        adam_step(p, np.array([5.0, -5.0]), state)
-        np.testing.assert_array_equal(p, [1.0, 2.0])
+        opt = stepped([1.0, 2.0], [[5.0, -5.0]], lr=0.0)
+        np.testing.assert_array_equal(opt.params[0].data, [1.0, 2.0])
 
     def test_shape_mismatch(self):
-        state = AdamState(m=np.zeros(2), v=np.zeros(2))
         with pytest.raises(ConfigError):
-            adam_step(np.zeros(2), np.zeros(3), state)
+            stepped(np.zeros(2), [np.zeros(3)])
 
     def test_defaults(self):
-        state = AdamState(m=np.zeros(1), v=np.zeros(1))
-        assert (state.lr, state.beta1, state.beta2, state.eps) == (1e-4, 0.9, 0.999, 1e-8)
+        opt = Adam([Tensor(np.zeros(1), requires_grad=True)])
+        assert (opt.lr, opt.beta1, opt.beta2, opt.eps, opt.t) == (1e-4, 0.9, 0.999, 1e-8, 0)
 
 
 class TestAdamWrapper:
@@ -111,9 +105,28 @@ class TestAdamWrapper:
         with pytest.raises(ConfigError):
             Adam([a], eps=0.0)
 
-    def test_zero_grad_clears(self):
+    def test_missing_gradient_moves_nothing(self):
+        # The check runs over every parameter before any update, so a
+        # later missing gradient cannot leave earlier ones stepped.
         a = Tensor(np.array([1.0]), requires_grad=True)
-        opt = Adam([a])
+        b = Tensor(np.array([2.0, 3.0]), requires_grad=True)
+        opt = Adam([a, b], lr=0.1)
         a.grad = np.array([1.0])
-        opt.zero_grad()
-        assert a.grad is None
+        with pytest.raises(StateError):
+            opt.step()
+        np.testing.assert_array_equal(a.data, [1.0])
+        np.testing.assert_array_equal(b.data, [2.0, 3.0])
+        np.testing.assert_array_equal(opt.m[0], [0.0])
+        assert opt.t == 0
+
+    def test_wrong_shaped_gradient_moves_nothing(self):
+        a = Tensor(np.array([1.0]), requires_grad=True)
+        b = Tensor(np.array([2.0, 3.0]), requires_grad=True)
+        opt = Adam([a, b], lr=0.1)
+        a.grad = np.array([1.0])
+        b.grad = np.array([1.0, 1.0, 1.0])
+        with pytest.raises(ConfigError):
+            opt.step()
+        np.testing.assert_array_equal(a.data, [1.0])
+        np.testing.assert_array_equal(b.data, [2.0, 3.0])
+        assert opt.t == 0

@@ -1,12 +1,13 @@
 """Checkpoint serialization: byte-stable round trips and corruption detection."""
 
+import re
 import struct
 import zlib
 
 import numpy as np
 import pytest
 
-from localfocus import (LfmModel, NprConfig, ParseError, SNetConfig,
+from localfocus import (DomainError, LfmModel, NprConfig, ParseError, SNetConfig,
                         TkpConfig, load_checkpoint, save_checkpoint)
 from localfocus.checkpoint import MAGIC, VERSION, _config_payload
 
@@ -160,6 +161,18 @@ class TestCorruption:
         with pytest.raises(ParseError, match=f"array {last} holds a non-finite") as exc:
             load_checkpoint(path)
         assert exc.value.offset == len(blob) - 4
+
+    @pytest.mark.parametrize("bad", [1e39, np.nan])
+    def test_save_refuses_value_float32_cannot_hold(self, tmp_path, bad):
+        # 1e39 is finite in float64 but overflows float32 to inf, which the
+        # loader refuses; the writer must refuse it first and write nothing.
+        model = odd_model()
+        model.fc_bias.data[0] = bad
+        last = len(model.parameters()) - 1
+        path = tmp_path / "m.lfm"
+        with pytest.raises(DomainError, match=re.escape(f"array {last} element 0 holds {bad!r}")):
+            save_checkpoint(model, str(path))
+        assert not path.exists()
 
     def test_format_constants(self):
         assert MAGIC == b"LFM1"

@@ -99,6 +99,17 @@ class TestForwardTrain:
         for p in model.parameters():
             assert p.grad is not None and p.grad.shape == p.data.shape
 
+    def test_each_call_starts_from_zero_gradients(self):
+        # Zeroing is forward_train's job (the optimizer has none): a second
+        # identical call must give the same gradients, not twice them.
+        model = tiny_model()
+        images, labels = tiny_batch()
+        model.forward_train(images, labels, np.random.default_rng(2))
+        first = [p.grad.copy() for p in model.parameters()]
+        model.forward_train(images, labels, np.random.default_rng(2))
+        for p, g in zip(model.parameters(), first):
+            np.testing.assert_array_equal(p.grad, g)
+
     def test_shared_head_scores_both_vectors(self):
         # Force top-k and random-sample paths to see the same vector by
         # using k = map size; identical vectors must get identical scores.
