@@ -19,7 +19,7 @@ from .npr import NprConfig, npr_extract
 from .ops import bce_loss_mean, conv2d, linear, maxpool2d
 from .optim import Adam
 from .pooling import (PooledVectors, TkpConfig, gap_pool, gmp_pool,
-                      rbld_probabilities, tkp_pool, topk_ascending)
+                      rbld_probabilities, tkp_pool)
 from .ppm import load_ppm, save_ppm
 from .snet import (SNet, SNetConfig, output_shape, receptive_field,
                    snet_param_count)
@@ -40,6 +40,6 @@ __all__ = [
     "load_checkpoint", "load_dataset", "load_ppm", "maxpool2d", "npr_extract",
     "numeric_gradient", "output_shape", "rbld_probabilities", "read_manifest",
     "receptive_field", "relative_error", "save_checkpoint", "save_ppm",
-    "snet_param_count", "tkp_pool", "topk_ascending", "total_param_count",
+    "snet_param_count", "tkp_pool", "total_param_count",
     "train", "write_manifest",
 ]

@@ -1,6 +1,6 @@
 """Command line interface.
 
-Subcommands: gen-data, train, eval, infer, bench. Every option can also
+Subcommands: gen-data, train, eval, infer. Every option can also
 be supplied through a plain-text config file (``--config``) holding
 ``key = value`` lines with ``#`` comments; explicit flags override file
 values, which override defaults. Unknown config keys are fatal.
@@ -14,22 +14,21 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (DatasetManifest, gen_fake, gen_real, load_dataset,
-                   read_manifest, write_manifest)
+                   read_lines, read_manifest, write_manifest)
 from .errors import ConfigError, DomainError, ParseError, ShapeError, StateError
 from .model import DEFAULT_ALPHA, DEFAULT_THRESHOLD
 from .npr import NprConfig
 from .pooling import TkpConfig
 from .ppm import load_ppm, save_ppm
 from .snet import SNetConfig
-from .train import (TrainConfig, bench, build_model, evaluate,
-                    save_loss_curve, train)
+from .train import TrainConfig, build_model, evaluate, save_loss_curve, train
 
 PROG = "localfocus"
 
@@ -43,43 +42,37 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def _bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(raw)
+
+
+def _intlist(raw: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in raw.split(",") if tok.strip() != "")
+
+
 @dataclass(frozen=True)
 class Field:
-    """One CLI option that doubles as a config-file key."""
+    """One CLI option that doubles as a config-file key. ``parse`` turns
+    flag and file text alike into the value, raising ValueError."""
 
     name: str
-    ftype: str  # int | float | bool | str | intlist
+    parse: Callable[[str], object]
     default: object
     help: str
     required: bool = False
 
 
-def _parse_value(raw: str, ftype: str, key: str):
-    try:
-        if ftype == "int":
-            return int(raw)
-        if ftype == "float":
-            return float(raw)
-        if ftype == "bool":
-            low = raw.strip().lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
-        if ftype == "intlist":
-            return tuple(int(tok) for tok in raw.split(",") if tok.strip() != "")
-        return raw
-    except ValueError:
-        raise ParseError(f"config key {key!r}: cannot parse {raw!r} as {ftype}") from None
-
-
-def _format_value(value, ftype: str) -> str:
-    if ftype == "bool":
+def _format_value(value, parse) -> str:
+    if parse is _bool:
         return "true" if value else "false"
-    if ftype == "intlist":
+    if parse is _intlist:
         return ",".join(str(v) for v in value)
-    if ftype == "float":
+    if parse is float:
         return repr(float(value))
     return str(value)
 
@@ -88,23 +81,22 @@ def read_config_file(path: str) -> dict[str, str]:
     """Parse ``key = value`` lines; blank lines and ``#`` comments skipped."""
     entries: dict[str, str] = {}
     try:
-        fh = open(path, "r", encoding="utf-8")
+        lines = list(read_lines(path))
     except OSError as e:
         raise ParseError(f"cannot read config file {path!r}: {e.strerror}") from None
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ParseError(f"{path}:{lineno}: expected 'key = value'", offset=lineno)
-            key, _, val = stripped.partition("=")
-            key, val = key.strip(), val.strip()
-            if not key:
-                raise ParseError(f"{path}:{lineno}: empty key", offset=lineno)
-            if key in entries:
-                raise ParseError(f"{path}:{lineno}: duplicate key {key!r}", offset=lineno)
-            entries[key] = val
+    for lineno, offset, line in lines:
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ParseError(f"{path}:{lineno}: expected 'key = value'", offset=offset)
+        key, _, val = stripped.partition("=")
+        key, val = key.strip(), val.strip()
+        if not key:
+            raise ParseError(f"{path}:{lineno}: empty key", offset=offset)
+        if key in entries:
+            raise ParseError(f"{path}:{lineno}: duplicate key {key!r}", offset=offset)
+        entries[key] = val
     return entries
 
 
@@ -113,16 +105,12 @@ def _add_arguments(parser: argparse.ArgumentParser, fields: list[Field]) -> None
                         help="config file with 'key = value' lines; flags override it")
     for f in fields:
         flag = "--" + f.name.replace("_", "-")
-        if f.ftype == "bool":
+        if f.parse is _bool:
             parser.add_argument(flag, dest=f.name, action=argparse.BooleanOptionalAction,
                                 default=None, help=f.help)
-        elif f.ftype == "intlist":
-            parser.add_argument(flag, dest=f.name, default=None, metavar="N,N,...",
-                                type=lambda s: tuple(int(t) for t in s.split(",") if t.strip()),
-                                help=f.help)
         else:
-            ptype = {"int": int, "float": float, "str": str}[f.ftype]
-            parser.add_argument(flag, dest=f.name, default=None, type=ptype, help=f.help)
+            parser.add_argument(flag, dest=f.name, default=None, type=f.parse, help=f.help,
+                                metavar="N,N,..." if f.parse is _intlist else None)
 
 
 def _merge(fields: list[Field], ns: argparse.Namespace, prog: str) -> dict:
@@ -135,7 +123,12 @@ def _merge(fields: list[Field], ns: argparse.Namespace, prog: str) -> dict:
     for f in fields:
         value = getattr(ns, f.name)
         if value is None and f.name in file_cfg:
-            value = _parse_value(file_cfg[f.name], f.ftype, f.name)
+            raw = file_cfg[f.name]
+            try:
+                value = f.parse(raw)
+            except ValueError:
+                raise ParseError(f"config key {f.name!r}: cannot parse {raw!r} as "
+                                 f"{f.parse.__name__.lstrip('_')}") from None
         if value is None:
             value = f.default
         if f.required and value is None:
@@ -151,64 +144,57 @@ def emit_config(fields: list[Field], resolved: dict) -> str:
         value = resolved[f.name]
         if value is None:
             continue
-        lines.append(f"{f.name} = {_format_value(value, f.ftype)}\n")
+        lines.append(f"{f.name} = {_format_value(value, f.parse)}\n")
     return "".join(lines)
 
 
 # -- field registries ----------------------------------------------------------
 
 _MODEL_FIELDS = [
-    Field("window", "int", NprConfig.window, "residual grid pitch (pixels)"),
-    Field("anchor_index", "int", NprConfig.anchor_index, "row-major anchor position inside each window"),
-    Field("take_abs", "bool", NprConfig.take_abs, "feed |residual| instead of the signed residual"),
-    Field("num_conv_layers", "int", SNetConfig.num_conv_layers, "conv layers in the salience net"),
-    Field("channel_plan", "intlist", SNetConfig.channel_plan, "output channels per conv layer (must end in 64)"),
-    Field("pool_after", "intlist", tuple(sorted(SNetConfig.pool_after)),
+    Field("window", int, NprConfig.window, "residual grid pitch (pixels)"),
+    Field("anchor_index", int, NprConfig.anchor_index, "row-major anchor position inside each window"),
+    Field("take_abs", _bool, NprConfig.take_abs, "feed |residual| instead of the signed residual"),
+    Field("num_conv_layers", int, SNetConfig.num_conv_layers, "conv layers in the salience net"),
+    Field("channel_plan", _intlist, SNetConfig.channel_plan, "output channels per conv layer (must end in 64)"),
+    Field("pool_after", _intlist, tuple(sorted(SNetConfig.pool_after)),
           "1-based conv indices followed by a 2x2 max-pool"),
-    Field("bias", "bool", SNetConfig.bias, "per-channel conv bias"),
-    Field("pooling", "str", TrainConfig.pooling, "pooling variant: tkp, gap, or gmp"),
-    Field("k", "int", TkpConfig.k, "activations kept per channel by top-k pooling"),
-    Field("p_min", "float", TkpConfig.p_min, "dropout probability at the lowest kept rank"),
-    Field("p_max", "float", TkpConfig.p_max, "dropout probability at the highest kept rank"),
-    Field("rbld", "bool", TrainConfig.rbld, "rank-based dropout during training (default: on for tkp)"),
-    Field("rks", "bool", TrainConfig.rks, "random-sample auxiliary vector during training (default: on for tkp)"),
-    Field("decision_threshold", "float", DEFAULT_THRESHOLD, "probability cutoff for the fake label"),
-    Field("alpha", "float", DEFAULT_ALPHA, "weight of the auxiliary loss term"),
+    Field("bias", _bool, SNetConfig.bias, "per-channel conv bias"),
+    Field("pooling", str, TrainConfig.pooling, "pooling variant: tkp, gap, or gmp"),
+    Field("k", int, TkpConfig.k, "activations kept per channel by top-k pooling"),
+    Field("p_min", float, TkpConfig.p_min, "dropout probability at the lowest kept rank"),
+    Field("p_max", float, TkpConfig.p_max, "dropout probability at the highest kept rank"),
+    Field("rbld", _bool, TrainConfig.rbld, "rank-based dropout during training (default: on for tkp)"),
+    Field("rks", _bool, TrainConfig.rks, "random-sample auxiliary vector during training (default: on for tkp)"),
+    Field("decision_threshold", float, DEFAULT_THRESHOLD, "probability cutoff for the fake label"),
+    Field("alpha", float, DEFAULT_ALPHA, "weight of the auxiliary loss term"),
 ]
 
 _TRAIN_FIELDS = [
-    Field("manifest", "str", None, "training manifest (path<TAB>label<TAB>tag)", required=True),
-    Field("out", "str", None, "output directory for checkpoints and logs", required=True),
-    Field("lr", "float", TrainConfig.lr, "Adam learning rate"),
-    Field("batch_size", "int", TrainConfig.batch_size, "samples per optimizer step"),
-    Field("epochs", "int", TrainConfig.epochs, "passes over the training set"),
-    Field("seed", "int", TrainConfig.seed, "run seed; fixes init, shuffles, and dropout"),
+    Field("manifest", str, None, "training manifest (path<TAB>label<TAB>tag)", required=True),
+    Field("out", str, None, "output directory for checkpoints and logs", required=True),
+    Field("lr", float, TrainConfig.lr, "Adam learning rate"),
+    Field("batch_size", int, TrainConfig.batch_size, "samples per optimizer step"),
+    Field("epochs", int, TrainConfig.epochs, "passes over the training set"),
+    Field("seed", int, TrainConfig.seed, "run seed; fixes init, shuffles, and dropout"),
 ] + _MODEL_FIELDS
 
 _GEN_FIELDS = [
-    Field("out", "str", None, "output directory for images and manifests", required=True),
-    Field("n_train", "int", 2000, "total training samples (half real, half fake)"),
-    Field("n_test", "int", 500, "total test samples (half real, half fake)"),
-    Field("size", "int", 64, "image side length in pixels"),
-    Field("seed", "int", 0, "generator seed"),
+    Field("out", str, None, "output directory for images and manifests", required=True),
+    Field("n_train", int, 2000, "total training samples (half real, half fake)"),
+    Field("n_test", int, 500, "total test samples (half real, half fake)"),
+    Field("size", int, 64, "image side length in pixels"),
+    Field("seed", int, 0, "generator seed"),
 ]
 
 _EVAL_FIELDS = [
-    Field("checkpoint", "str", None, "model checkpoint to evaluate", required=True),
-    Field("manifest", "str", None, "evaluation manifest", required=True),
-    Field("out", "str", None, "also write the JSON report here"),
+    Field("checkpoint", str, None, "model checkpoint to evaluate", required=True),
+    Field("manifest", str, None, "evaluation manifest", required=True),
+    Field("out", str, None, "also write the JSON report here"),
 ]
 
 _INFER_FIELDS = [
-    Field("checkpoint", "str", None, "model checkpoint", required=True),
-    Field("image", "str", None, "PPM image to score", required=True),
-]
-
-_BENCH_FIELDS = [
-    Field("checkpoint", "str", None, "model checkpoint", required=True),
-    Field("manifest", "str", None, "manifest supplying bench images", required=True),
-    Field("batch_size", "int", 32, "images per worker task"),
-    Field("workers", "int", 1, "worker threads"),
+    Field("checkpoint", str, None, "model checkpoint", required=True),
+    Field("image", str, None, "PPM image to score", required=True),
 ]
 
 
@@ -250,23 +236,16 @@ def _cmd_gen_data(opts: dict) -> int:
     return 0
 
 
-def _configs_from_opts(opts: dict):
-    npr_cfg = NprConfig(window=opts["window"], anchor_index=opts["anchor_index"],
-                        take_abs=opts["take_abs"])
-    snet_cfg = SNetConfig(num_conv_layers=opts["num_conv_layers"],
-                          channel_plan=opts["channel_plan"],
-                          pool_after=frozenset(opts["pool_after"]), bias=opts["bias"])
-    train_cfg = TrainConfig(lr=opts["lr"], batch_size=opts["batch_size"], epochs=opts["epochs"],
-                            seed=opts["seed"], pooling=opts["pooling"],
-                            rbld=opts["rbld"], rks=opts["rks"])
-    tkp_cfg = TkpConfig(k=opts["k"], p_min=opts["p_min"], p_max=opts["p_max"])
-    return npr_cfg, snet_cfg, tkp_cfg, train_cfg
+def _config(cls, opts: dict):
+    """Build the config dataclass ``cls`` from the options named like its fields."""
+    return cls(**{f.name: opts[f.name] for f in dataclasses.fields(cls) if f.name in opts})
 
 
 def _cmd_train(opts: dict) -> int:
     manifest = read_manifest(opts["manifest"])
     dataset = load_dataset(manifest)
-    npr_cfg, snet_cfg, tkp_cfg, train_cfg = _configs_from_opts(opts)
+    npr_cfg, snet_cfg, train_cfg, tkp_cfg = (
+        _config(cls, opts) for cls in (NprConfig, SNetConfig, TrainConfig, TkpConfig))
     model = build_model(train_cfg, npr_cfg=npr_cfg, snet_cfg=snet_cfg, tkp_cfg=tkp_cfg,
                         decision_threshold=opts["decision_threshold"], alpha=opts["alpha"])
     result = train(model, dataset, train_cfg)
@@ -311,21 +290,11 @@ def _cmd_infer(opts: dict) -> int:
     return 0
 
 
-def _cmd_bench(opts: dict) -> int:
-    model = load_checkpoint(opts["checkpoint"])
-    dataset = load_dataset(read_manifest(opts["manifest"]))
-    report = bench(model, [rec.image for rec in dataset],
-                   batch_size=opts["batch_size"], workers=opts["workers"])
-    print(json.dumps(dataclasses.asdict(report), indent=2))
-    return 0
-
-
 _COMMANDS = [
     ("gen-data", _GEN_FIELDS, _cmd_gen_data, "generate a synthetic real/fake dataset"),
     ("train", _TRAIN_FIELDS, _cmd_train, "train a detector and write checkpoints"),
     ("eval", _EVAL_FIELDS, _cmd_eval, "score a manifest and report accuracy / average precision"),
     ("infer", _INFER_FIELDS, _cmd_infer, "score one image"),
-    ("bench", _BENCH_FIELDS, _cmd_bench, "measure inference throughput"),
 ]
 
 

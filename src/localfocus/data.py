@@ -21,6 +21,7 @@ derive one substream per sample and never share streams across samples.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,11 +103,11 @@ def gen_real(n: int, size: int, rng: np.random.Generator) -> list[SampleRecord]:
     return out
 
 
-def _block_zero_mean(noise: np.ndarray, window: int) -> np.ndarray:
-    """Remove the per-window mean so the noise has no energy at or below
-    the block scale."""
+def _block_zero_mean(noise: np.ndarray) -> np.ndarray:
+    """Remove the per-2x2-block mean so the noise has no energy at or
+    below the block scale."""
     c, h, w = noise.shape
-    blocks = noise.reshape(c, h // window, window, w // window, window)
+    blocks = noise.reshape(c, h // 2, 2, w // 2, 2)
     means = blocks.mean(axis=(2, 4), keepdims=True)
     return (blocks - means).reshape(c, h, w)
 
@@ -134,7 +135,7 @@ def gen_fake(reals: list[SampleRecord], rng: np.random.Generator) -> list[Sample
             raise ConfigError(f"gen_fake needs (C, even, even) images, got {img.shape}")
         sub = np.random.default_rng((base, i))
         dither = _DITHER_AMPLITUDE * sub.uniform(-1.0, 1.0, size=img.shape)
-        fake = np.clip(resample_2x(img) + _block_zero_mean(dither, 2), 0.0, 1.0)
+        fake = np.clip(resample_2x(img) + _block_zero_mean(dither), 0.0, 1.0)
         out.append(SampleRecord(image=fake, label=FAKE_LABEL, source_tag="synth-fake"))
     return out
 
@@ -170,23 +171,36 @@ def write_manifest(manifest: DatasetManifest, path: str) -> None:
         fh.writelines(lines)
 
 
+def read_lines(path: str) -> Iterator[tuple[int, int, str]]:
+    """Yield (line number, byte offset, text without its LF/CRLF/CR) for each
+    line of a UTF-8 file; a byte that is not UTF-8 raises ParseError at its offset."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    offset = 0
+    for lineno, line in enumerate(raw.splitlines(keepends=True), start=1):
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}:{lineno}: invalid UTF-8", offset=offset + e.start) from None
+        yield lineno, offset, text.rstrip("\r\n")
+        offset += len(line)
+
+
 def read_manifest(path: str) -> DatasetManifest:
     """Parse a manifest file; the dataset root is the manifest's directory."""
     root = os.path.dirname(os.path.abspath(path))
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}",
-                                 offset=lineno)
-            rel, label_s, tag = parts
-            if label_s not in ("0", "1"):
-                raise ParseError(f"{path}:{lineno}: label must be 0 or 1, got {label_s!r}", offset=lineno)
-            entries.append((rel, int(label_s), tag))
+    for lineno, offset, line in read_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}",
+                             offset=offset)
+        rel, label_s, tag = parts
+        if label_s not in ("0", "1"):
+            raise ParseError(f"{path}:{lineno}: label must be 0 or 1, got {label_s!r}", offset=offset)
+        entries.append((rel, int(label_s), tag))
     manifest = DatasetManifest(root=root, entries=entries)
     manifest.validate()
     return manifest

@@ -21,8 +21,8 @@ class DomainError(ValueError):
 class ParseError(ValueError):
     """A file or byte stream is malformed.
 
-    ``offset`` is the byte offset (or line number for line-oriented
-    formats, see the message) where parsing failed.
+    ``offset`` is the byte offset where parsing failed; for line-based
+    formats, the start of the offending line or the undecodable byte.
     """
 
     def __init__(self, message: str, offset: int | None = None):

@@ -137,7 +137,7 @@ class LfmModel:
             loss_b = bce_loss_mean(star_probs, labels)
             total = loss_a + self.alpha * loss_b
             loss_b_val = loss_b.item()
-        total.backward(release_graph=True)
+        total.backward()
 
         report = LossReport(loss_a=loss_a.item(), loss_b=loss_b_val, alpha=self.alpha,
                             total=loss_a.item() + self.alpha * loss_b_val)

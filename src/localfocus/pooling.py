@@ -97,13 +97,6 @@ def rbld_probabilities(k: int, p_min: float, p_max: float) -> np.ndarray:
     return p_min + (p_max - p_min) * np.arange(k) / (k - 1)
 
 
-def topk_ascending(flat: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest entries of each row under the total order
-    (value, flat index), returned in ascending order of that same key."""
-    order = np.argsort(flat, axis=-1, kind="stable")
-    return order[..., flat.shape[-1] - k:]
-
-
 def _scatter(shape: tuple[int, ...], indices: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     """Gradient on maps of ``shape`` from upstream values read at
     ``indices`` (flat positions, one row per map). Positions are unique
@@ -137,7 +130,8 @@ def tkp_pool(x: Tensor, cfg: TkpConfig, rng: np.random.Generator | None = None
         raise ConfigError(f"tkp k={cfg.k} exceeds map size {h}x{w}={h * w}")
 
     flat = x.data.reshape(n * c, h * w)
-    selected = topk_ascending(flat, cfg.k)
+    # The stable sort ranks ties by flat index: the (value, index) order.
+    selected = np.argsort(flat, axis=1, kind="stable")[:, h * w - cfg.k:]
     vector = np.take_along_axis(flat, selected, axis=1)
     dropped = star_idx = out_star = None
     if rng is not None and cfg.rbld_enabled:

@@ -48,10 +48,8 @@ class SNetConfig:
         plan = self.channel_plan
         if plan is None:
             plan = (32,) + (OUT_CHANNELS,) * (self.num_conv_layers - 1)
-            object.__setattr__(self, "channel_plan", plan)
-        else:
-            plan = tuple(int(c) for c in plan)
-            object.__setattr__(self, "channel_plan", plan)
+        plan = tuple(int(c) for c in plan)
+        object.__setattr__(self, "channel_plan", plan)
         if len(plan) != self.num_conv_layers:
             raise ConfigError(
                 f"channel_plan length {len(plan)} != num_conv_layers {self.num_conv_layers}"

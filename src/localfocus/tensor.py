@@ -81,20 +81,17 @@ class Tensor:
 
     # -- autograd engine --------------------------------------------------
 
-    def backward(self, grad: np.ndarray | None = None,
-                 release_graph: bool = False) -> None:
-        """Backpropagate from this tensor through the recorded graph.
+    def backward(self, grad: np.ndarray | None = None) -> None:
+        """Backpropagate from this tensor through the recorded graph, then
+        release it.
 
         ``grad`` defaults to ones and may only be omitted for
         single-element tensors.
 
-        ``release_graph`` drops every visited node's backward closure
-        and parent links afterwards. The recorded closures capture the
-        tensors they produced, so each graph is a reference cycle that
-        only the cycle collector can free, and it does not feel the
-        (large) numpy buffers those cycles pin. A training loop that
-        builds a fresh graph per step must release explicitly or its
-        finished graphs accumulate until collection happens to run.
+        Releasing drops every visited node's backward closure and parent
+        links. Each closure captures the tensor it produced, so an
+        unreleased graph is a reference cycle pinning its numpy buffers
+        until the cycle collector happens to run.
         """
         if not self.requires_grad:
             return
@@ -128,10 +125,9 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward()
-        if release_graph:
-            for node in topo:
-                node._backward = None
-                node._parents = ()
+        for node in topo:
+            node._backward = None
+            node._parents = ()
 
     # -- arithmetic ---------------------------------------------------------
 

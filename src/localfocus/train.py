@@ -9,6 +9,7 @@ deterministic by construction and ignores the stochastic flags.
 
 from __future__ import annotations
 
+import copy
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -68,20 +69,13 @@ class TrainResult:
     epoch_losses: list[float] = field(default_factory=list)
 
 
-def _clone_with_params(model: LfmModel, arrays: list[np.ndarray]) -> LfmModel:
-    clone = LfmModel(npr_cfg=model.npr_cfg, snet_cfg=model.snet_cfg, tkp_cfg=model.tkp_cfg,
-                     pooling=model.pooling, decision_threshold=model.decision_threshold,
-                     alpha=model.alpha, seed=model.seed)
-    for p, a in zip(clone.parameters(), arrays):
-        p.data = a.copy()
-    return clone
-
-
 def train(model: LfmModel, dataset: list[SampleRecord], cfg: TrainConfig) -> TrainResult:
     """Optimize ``model`` in place over ``dataset``.
 
     The epoch loss recorded (and used to pick the best snapshot) is the
-    sample-weighted mean of the per-batch totals.
+    sample-weighted mean of the per-batch totals. The best snapshot is a
+    deep copy of the model at its lowest epoch loss, or of the initial
+    model when no epoch loss is finite.
     """
     if len(dataset) == 0:
         raise ConfigError("train needs a non-empty dataset")
@@ -94,7 +88,7 @@ def train(model: LfmModel, dataset: list[SampleRecord], cfg: TrainConfig) -> Tra
     n = len(dataset)
     best_loss = float("inf")
     best_epoch = -1
-    best_arrays: list[np.ndarray] = []
+    best_model = copy.deepcopy(model)
     epoch_losses: list[float] = []
 
     for epoch in range(cfg.epochs):
@@ -113,9 +107,8 @@ def train(model: LfmModel, dataset: list[SampleRecord], cfg: TrainConfig) -> Tra
         if epoch_loss < best_loss:
             best_loss = epoch_loss
             best_epoch = epoch
-            best_arrays = [p.data.copy() for p in model.parameters()]
+            best_model = copy.deepcopy(model)
 
-    best_model = _clone_with_params(model, best_arrays)
     return TrainResult(model=model, best_model=best_model, best_epoch=best_epoch,
                        epoch_losses=epoch_losses)
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, config files, and exit codes."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -10,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from localfocus import read_manifest
-from localfocus.cli import main, read_config_file
+from localfocus import (NprConfig, ParseError, SNetConfig, TkpConfig,
+                        TrainConfig, read_manifest)
+from localfocus.cli import _TRAIN_FIELDS, main, read_config_file
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 TINY_MODEL_FLAGS = ["--num-conv-layers", "3", "--channel-plan", "8,16,64",
@@ -108,12 +110,6 @@ class TestEndToEnd:
         assert "epoch 0: loss" in out and "epoch 1:" not in out
         assert read_config_file(os.path.join(run_c, "config_used.cfg"))["epochs"] == "1"
 
-    def test_bench_needs_enough_images(self, workspace, capsys):
-        rc = main(["bench", "--checkpoint", workspace["best"],
-                   "--manifest", workspace["test_manifest"]])
-        assert rc == 2
-        assert "100" in capsys.readouterr().err
-
 
 class TestExitCodes:
     def test_no_command(self, capsys):
@@ -168,6 +164,37 @@ class TestExitCodes:
         cfg.write_text("epochs = soon\n")
         rc = main(["train", "--config", str(cfg), "--manifest", "m", "--out", "o"])
         assert rc == 2
+        assert "cannot parse 'soon' as int" in capsys.readouterr().err
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed = 1\nlr = 1\xff\n")
+        rc = main(["train", "--config", str(cfg), "--manifest", "m", "--out", "o"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "UTF-8" in err and "(at byte 15)" in err
+
+    def test_bad_config_line_offset_is_its_first_byte(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed = 1\r\nnovalue\n")
+        with pytest.raises(ParseError) as exc:
+            read_config_file(str(cfg))
+        assert exc.value.offset == 10
+        assert "(at byte 10)" in str(exc.value)
+
+
+class TestConfigFields:
+    def test_every_train_option_feeds_one_config(self):
+        # The CLI builds each config from the options named like its
+        # fields, so an option no config names would be dropped silently.
+        configs = (NprConfig, SNetConfig, TkpConfig, TrainConfig)
+        model_level = {"manifest", "out", "decision_threshold", "alpha"}
+        for f in _TRAIN_FIELDS:
+            if f.name in model_level:
+                continue
+            owners = [cls.__name__ for cls in configs
+                      if f.name in {g.name for g in dataclasses.fields(cls)}]
+            assert len(owners) == 1, f"option {f.name!r} feeds {owners}"
 
 
 class TestHelp:
@@ -176,8 +203,9 @@ class TestHelp:
             main(["--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        for command in ("gen-data", "train", "eval", "infer", "bench"):
+        for command in ("gen-data", "train", "eval", "infer"):
             assert command in out
+        assert "bench" not in out
 
     def test_subcommand_help_lists_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -170,3 +170,22 @@ class TestManifest:
         path.write_text("a.ppm\t1\n")
         with pytest.raises(ParseError, match="3 tab-separated"):
             read_manifest(str(path))
+
+    def test_bad_line_carries_its_byte_offset(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"a.ppm\t0\tt\r\nb.ppm\t7\tt\r\n")
+        with pytest.raises(ParseError, match=":2: label") as exc:
+            read_manifest(str(path))
+        assert exc.value.offset == 11
+
+    def test_crlf_lines_read_like_lf(self, tmp_path):
+        path = tmp_path / "crlf.tsv"
+        path.write_bytes(b"a.ppm\t0\treal\r\nb.ppm\t1\tfake\r\n")
+        assert read_manifest(str(path)).entries == [("a.ppm", 0, "real"), ("b.ppm", 1, "fake")]
+
+    def test_invalid_utf8_is_a_parse_error_at_its_byte(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"a.ppm\t0\tt\nb\xff.ppm\t1\tt\n")
+        with pytest.raises(ParseError, match="UTF-8") as exc:
+            read_manifest(str(path))
+        assert exc.value.offset == 11

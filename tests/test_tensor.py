@@ -91,6 +91,21 @@ class TestArithmetic:
         np.testing.assert_array_equal(b.grad, [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(up, [1.0, 2.0, 3.0])
 
+    def test_backward_releases_the_graph(self):
+        a = Tensor([2.0, -1.0], requires_grad=True)
+        h = (a * 3.0).relu()
+        y = (h + a).sum()
+        nodes, stack = [], [y]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            stack.extend(node._parents)
+        assert len(nodes) > 3
+        y.backward()
+        np.testing.assert_array_equal(a.grad, [4.0, 1.0])
+        for node in nodes:
+            assert node._backward is None and node._parents == ()
+
     def test_no_grad_inputs_build_no_graph(self):
         a = Tensor([1.0])
         out = a.relu()
