@@ -3,9 +3,9 @@
 Layout (all integers little-endian):
 
     magic  b"LFM1"
-    u32    format version (2)
-    config payload: residual settings, conv stack plan, pooling variant
-           and settings, decision threshold, aux loss weight
+    u32    format version (3)
+    config payload: residual take_abs byte, conv stack plan, pooling
+           variant and settings, decision threshold, aux loss weight
     u32    CRC-32 of every byte above (header check)
     u32    CRC-32 of every byte below (parameter check)
     u32    parameter array count
@@ -18,7 +18,8 @@ most ~1e-5 versus the float64 originals.
 
 Loading rejects a mismatch of either checksum and any non-finite
 parameter, each with its byte offset. Version 1 files (an activation
-byte, no parameter checksum) are refused as an unsupported version.
+byte, no parameter checksum) and version 2 files (residual grid pitch and
+anchor, conv-bias byte) are refused as an unsupported version.
 """
 
 from __future__ import annotations
@@ -35,19 +36,18 @@ from .pooling import TkpConfig
 from .snet import SNetConfig
 
 MAGIC = b"LFM1"
-VERSION = 2
+VERSION = 3
 
 
 def _config_payload(model: LfmModel) -> bytes:
     npr, snet, tkp = model.npr_cfg, model.snet_cfg, model.tkp_cfg
-    parts = [struct.pack("<IIB", npr.window, npr.anchor_index, int(npr.take_abs))]
+    parts = [struct.pack("<B", int(npr.take_abs))]
     parts.append(struct.pack("<II", snet.num_conv_layers, len(snet.channel_plan)))
     parts.append(struct.pack(f"<{len(snet.channel_plan)}I", *snet.channel_plan))
     pool = sorted(snet.pool_after)
     parts.append(struct.pack("<I", len(pool)))
     if pool:
         parts.append(struct.pack(f"<{len(pool)}I", *pool))
-    parts.append(struct.pack("<B", int(snet.bias)))
     parts.append(struct.pack("<B", POOLING_VARIANTS.index(model.pooling)))
     parts.append(struct.pack("<IddBB", tkp.k, tkp.p_min, tkp.p_max,
                              int(tkp.rbld_enabled), int(tkp.rks_enabled)))
@@ -105,12 +105,11 @@ def load_checkpoint(path: str) -> LfmModel:
     if version != VERSION:
         raise ParseError(f"unsupported checkpoint version {version}", offset=4)
 
-    window, anchor_index, take_abs = r.unpack("<IIB", "residual config")
+    (take_abs,) = r.unpack("<B", "residual config")
     num_layers, plan_len = r.unpack("<II", "conv stack plan")
     plan = r.unpack(f"<{plan_len}I", "channel plan") if plan_len else ()
     (pool_len,) = r.unpack("<I", "pool plan length")
     pool = r.unpack(f"<{pool_len}I", "pool plan") if pool_len else ()
-    (snet_bias,) = r.unpack("<B", "conv stack flags")
     (pool_code,) = r.unpack("<B", "pooling variant")
     if pool_code >= len(POOLING_VARIANTS):
         raise ParseError(f"unknown pooling variant code {pool_code}", offset=r.pos - 1)
@@ -127,9 +126,9 @@ def load_checkpoint(path: str) -> LfmModel:
         )
 
     model = LfmModel(
-        npr_cfg=NprConfig(window=window, anchor_index=anchor_index, take_abs=bool(take_abs)),
+        npr_cfg=NprConfig(take_abs=bool(take_abs)),
         snet_cfg=SNetConfig(num_conv_layers=num_layers, channel_plan=plan,
-                            pool_after=frozenset(pool), bias=bool(snet_bias)),
+                            pool_after=frozenset(pool)),
         tkp_cfg=TkpConfig(k=k, p_min=p_min, p_max=p_max,
                           rbld_enabled=bool(rbld), rks_enabled=bool(rks)),
         pooling=POOLING_VARIANTS[pool_code],

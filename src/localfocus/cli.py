@@ -151,14 +151,11 @@ def emit_config(fields: list[Field], resolved: dict) -> str:
 # -- field registries ----------------------------------------------------------
 
 _MODEL_FIELDS = [
-    Field("window", int, NprConfig.window, "residual grid pitch (pixels)"),
-    Field("anchor_index", int, NprConfig.anchor_index, "row-major anchor position inside each window"),
     Field("take_abs", _bool, NprConfig.take_abs, "feed |residual| instead of the signed residual"),
     Field("num_conv_layers", int, SNetConfig.num_conv_layers, "conv layers in the salience net"),
     Field("channel_plan", _intlist, SNetConfig.channel_plan, "output channels per conv layer (must end in 64)"),
     Field("pool_after", _intlist, tuple(sorted(SNetConfig.pool_after)),
           "1-based conv indices followed by a 2x2 max-pool"),
-    Field("bias", _bool, SNetConfig.bias, "per-channel conv bias"),
     Field("pooling", str, TrainConfig.pooling, "pooling variant: tkp, gap, or gmp"),
     Field("k", int, TkpConfig.k, "activations kept per channel by top-k pooling"),
     Field("p_min", float, TkpConfig.p_min, "dropout probability at the lowest kept rank"),

@@ -19,7 +19,7 @@ from .errors import ConfigError, DomainError, ShapeError
 from .npr import NprConfig, npr_extract
 from .ops import bce_loss_mean, linear
 from .pooling import TkpConfig, gap_pool, gmp_pool, tkp_pool
-from .snet import OUT_CHANNELS, SNet, SNetConfig, snet_param_count
+from .snet import OUT_CHANNELS, SNet, SNetConfig
 from .tensor import Tensor
 
 POOLING_VARIANTS = ("tkp", "gap", "gmp")
@@ -72,7 +72,6 @@ class LfmModel:
         self.pooling = pooling
         self.decision_threshold = float(decision_threshold)
         self.alpha = float(alpha)
-        self.seed = int(seed)
 
         rng = np.random.default_rng((seed, 0))
         self.snet = SNet(self.snet_cfg, rng)
@@ -162,5 +161,4 @@ class LfmModel:
 
 def total_param_count(model: LfmModel) -> int:
     """Learnable parameter count: conv stack + head (pooling adds none)."""
-    head = model.fc_weight.data.size + model.fc_bias.data.size
-    return snet_param_count(model.snet_cfg) + head
+    return sum(p.data.size for p in model.parameters())

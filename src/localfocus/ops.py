@@ -141,40 +141,34 @@ def maxpool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map ``weight @ x + bias`` with ``weight`` of shape (1, N).
-
-    Accepts a single feature vector (N,) -> (1,) or a batch (B, N) -> (B, 1).
-    """
+    """Affine map ``weight @ x + bias`` with ``weight`` of shape (1, N),
+    taking a batch (B, N) to (B, 1)."""
     if weight.data.ndim != 2 or weight.data.shape[0] != 1:
         raise ShapeError(f"linear weight must have shape (1, N), got {weight.data.shape}")
     nfeat = weight.data.shape[1]
     if bias is not None and bias.data.shape != (1,):
         raise ShapeError(f"linear bias must have shape (1,), got {bias.data.shape}")
     xd = x.data
-    single = xd.ndim == 1
-    if single:
-        xd = xd[None]
-    if xd.ndim != 2 or xd.shape[1] != nfeat:
-        raise ShapeError(f"linear feature axis mismatch: input {x.data.shape} vs weight (1, {nfeat})")
+    if xd.ndim != 2:
+        raise ShapeError(f"linear input must be a (B, N) batch, got shape {xd.shape}")
+    if xd.shape[1] != nfeat:
+        raise ShapeError(f"linear feature axis mismatch: input {xd.shape} vs weight (1, {nfeat})")
 
     out_data = xd @ weight.data[0]
     if bias is not None:
         out_data = out_data + bias.data[0]
     out_data = out_data[:, None]  # (B, 1)
-    if single:
-        out_data = out_data[0]
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward():
-        g = out.grad if not single else out.grad[None]  # (B, 1)
+        g = out.grad  # (B, 1)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=0))
         if weight.requires_grad:
             weight._accumulate(g.T @ xd)
         if x.requires_grad:
-            dx = g @ weight.data
-            x._accumulate(dx[0] if single else dx)
+            x._accumulate(g @ weight.data)
 
     out = Tensor._wrap(out_data, parents, backward)
     return out

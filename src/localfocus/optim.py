@@ -44,12 +44,17 @@ class Adam:
 
     def step(self) -> None:
         """Update every parameter in place; all gradients are checked
-        first, so a failed step changes no parameter, moment or ``t``."""
+        first (present, parameter-shaped, finite), so a failed step changes
+        no parameter, moment or ``t``."""
         for i, p in enumerate(self.params):
             if p.grad is None:
                 raise StateError(f"adam step called before backward populated gradient {i}")
             if p.grad.shape != p.data.shape:
                 raise ConfigError(f"adam gradient {i} shaped {p.grad.shape} != parameter {p.data.shape}")
+            if not np.isfinite(p.grad).all():
+                bad = int(np.flatnonzero(~np.isfinite(p.grad))[0])
+                raise StateError(f"adam gradient {i} holds a non-finite value "
+                                 f"{p.grad.flat[bad]} at element {bad}")
         self.t += 1
         for i, p in enumerate(self.params):
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * p.grad

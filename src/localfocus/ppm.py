@@ -63,10 +63,10 @@ class _ByteCursor:
         self.skip_separators()
         start_after_sep = self.pos
         tok = self.read_token(what)
-        try:
-            return int(tok)
-        except ValueError:
-            raise ParseError(f"expected {what}, got {tok!r}", offset=start_after_sep) from None
+        # bytes.isdigit is ASCII-only; int() alone would also take b"+4" and b"2_0".
+        if not tok.isdigit():
+            raise ParseError(f"expected {what}, got {tok!r}", offset=start_after_sep)
+        return int(tok)
 
 
 def load_ppm(path: str) -> np.ndarray:

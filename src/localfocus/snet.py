@@ -34,13 +34,13 @@ class SNetConfig:
     channel_plan: output channels per conv layer; None derives
         (32, 64, 64, ...) of the right length. Must end in 64.
     pool_after: 1-based conv indices followed by a 2x2/stride-2 max-pool.
-    bias: whether conv layers carry a per-channel bias.
+
+    Every conv layer carries a per-channel bias.
     """
 
     num_conv_layers: int = 5
     channel_plan: tuple[int, ...] | None = None
     pool_after: frozenset[int] = frozenset({1, 2, 3})
-    bias: bool = True
 
     def __post_init__(self):
         if self.num_conv_layers < 2:
@@ -79,12 +79,7 @@ class SNetConfig:
 
 def snet_param_count(cfg: SNetConfig) -> int:
     """Learnable parameter count from the config alone."""
-    total = 0
-    for cout, cin, kh, kw in cfg.layer_shapes():
-        total += cout * cin * kh * kw
-        if cfg.bias:
-            total += cout
-    return total
+    return sum(cout * cin * kh * kw + cout for cout, cin, kh, kw in cfg.layer_shapes())
 
 
 def output_shape(cfg: SNetConfig, h: int, w: int) -> tuple[int, int, int]:
@@ -120,20 +115,14 @@ class SNet:
 
     def __init__(self, cfg: SNetConfig, rng: np.random.Generator):
         self.cfg = cfg
-        self.layers: list[tuple[Tensor, Tensor | None]] = []
+        self.layers: list[tuple[Tensor, Tensor]] = []
         for cout, cin, kh, kw in cfg.layer_shapes():
             scale = np.sqrt(2.0 / (cin * kh * kw))
             w = Tensor(rng.normal(0.0, scale, size=(cout, cin, kh, kw)), requires_grad=True)
-            b = Tensor(np.zeros(cout), requires_grad=True) if cfg.bias else None
-            self.layers.append((w, b))
+            self.layers.append((w, Tensor(np.zeros(cout), requires_grad=True)))
 
     def parameters(self) -> list[Tensor]:
-        out = []
-        for w, b in self.layers:
-            out.append(w)
-            if b is not None:
-                out.append(b)
-        return out
+        return [p for layer in self.layers for p in layer]
 
     def forward(self, x: Tensor) -> Tensor:
         """Run the stack on residual features (CxHxW or NxCxHxW)."""

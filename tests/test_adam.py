@@ -119,6 +119,21 @@ class TestAdamWrapper:
         np.testing.assert_array_equal(opt.m[0], [0.0])
         assert opt.t == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_moves_nothing(self, bad):
+        a = Tensor(np.array([1.0]), requires_grad=True)
+        b = Tensor(np.array([2.0, 3.0, 4.0]), requires_grad=True)
+        opt = Adam([a, b], lr=0.1)
+        a.grad = np.array([1.0])
+        b.grad = np.array([1.0, bad, 1.0])
+        with pytest.raises(StateError, match="gradient 1 .* at element 1"):
+            opt.step()
+        np.testing.assert_array_equal(a.data, [1.0])
+        np.testing.assert_array_equal(b.data, [2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(opt.m[0], [0.0])
+        np.testing.assert_array_equal(opt.v[1], [0.0, 0.0, 0.0])
+        assert opt.t == 0
+
     def test_wrong_shaped_gradient_moves_nothing(self):
         a = Tensor(np.array([1.0]), requires_grad=True)
         b = Tensor(np.array([2.0, 3.0]), requires_grad=True)

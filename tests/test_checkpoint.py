@@ -15,7 +15,7 @@ from localfocus.checkpoint import MAGIC, VERSION, _config_payload
 def odd_model(pooling="tkp"):
     """A model with every config knob off its default."""
     return LfmModel(
-        npr_cfg=NprConfig(window=2, anchor_index=3, take_abs=False),
+        npr_cfg=NprConfig(take_abs=False),
         snet_cfg=SNetConfig(num_conv_layers=3, channel_plan=(8, 16, 64),
                             pool_after=frozenset({1})),
         tkp_cfg=TkpConfig(k=3, p_min=0.05, p_max=0.4,
@@ -92,8 +92,9 @@ class TestCorruption:
 
     def test_bad_version(self, tmp_path):
         _, blob = save_bytes(odd_model(), tmp_path)
-        # Version 1 (activation byte, no parameter checksum) is refused too.
-        for version in (99, 1):
+        # Version 1 (activation byte, no parameter checksum) and version 2
+        # (residual grid pitch and anchor, conv-bias byte) are refused too.
+        for version in (99, 1, 2):
             path = self._write(tmp_path, blob[:4] + version.to_bytes(4, "little") + blob[8:])
             with pytest.raises(ParseError, match="version") as exc:
                 load_checkpoint(path)
@@ -101,10 +102,10 @@ class TestCorruption:
 
     def test_header_tamper_trips_checksum(self, tmp_path):
         _, blob = save_bytes(odd_model(), tmp_path)
-        # Byte 16 is the take_abs flag: flipping it keeps the header
+        # Byte 8 is the take_abs flag: flipping it keeps the header
         # parseable, so the CRC must be what catches the edit.
         tampered = bytearray(blob)
-        tampered[16] ^= 0x01
+        tampered[8] ^= 0x01
         path = self._write(tmp_path, bytes(tampered))
         with pytest.raises(ParseError, match="checksum"):
             load_checkpoint(path)
@@ -176,4 +177,4 @@ class TestCorruption:
 
     def test_format_constants(self):
         assert MAGIC == b"LFM1"
-        assert VERSION == 2
+        assert VERSION == 3

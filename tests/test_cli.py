@@ -146,6 +146,24 @@ class TestExitCodes:
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--window", "2"], ["--anchor-index", "0"],
+                                      ["--bias"], ["--no-bias"]],
+                             ids=["window", "anchor-index", "bias", "no-bias"])
+    def test_removed_residual_and_bias_flags(self, flag, capsys):
+        # The residual grid is fixed at 2x2 with a top-left anchor, and
+        # every conv has a bias.
+        assert main(["train", "--manifest", "m", "--out", "o"] + flag) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["window = 2", "anchor_index = 0", "bias = true"])
+    def test_removed_config_keys(self, tmp_path, line, capsys):
+        # A config_used.cfg written before the three settings were removed.
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(line + "\n")
+        rc = main(["train", "--config", str(cfg), "--manifest", "m", "--out", "o"])
+        assert rc == 2
+        assert f"unknown config key {line.split()[0]!r}" in capsys.readouterr().err
+
     def test_malformed_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("novalue\n")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from localfocus import ConfigError, NprConfig, ShapeError, Tensor, npr_extract
+from localfocus import NprConfig, ShapeError, Tensor, npr_extract
 from localfocus.gradcheck import check_gradient
 
 
@@ -16,7 +16,7 @@ def dense_adjoint(x0, cfg, upstream):
     """Adjoint oracle from the dense Jacobian: the signed residual is
     linear, so feeding every basis image through it gives the Jacobian's
     columns; |.| then multiplies by the residual's sign."""
-    signed = NprConfig(window=cfg.window, anchor_index=cfg.anchor_index, take_abs=False)
+    signed = NprConfig(take_abs=False)
     basis = np.eye(x0.size).reshape(-1, *x0.shape)
     columns = npr_extract(Tensor(basis), signed).data.reshape(x0.size, x0.size)
     g = upstream * np.sign(npr_extract(Tensor(x0), signed).data) if cfg.take_abs else upstream
@@ -25,19 +25,7 @@ def dense_adjoint(x0, cfg, upstream):
 
 class TestConfig:
     def test_defaults(self):
-        cfg = NprConfig()
-        assert (cfg.window, cfg.anchor_index, cfg.take_abs) == (2, 0, True)
-
-    def test_window_lower_bound(self):
-        with pytest.raises(ConfigError):
-            NprConfig(window=1)
-
-    def test_anchor_range(self):
-        with pytest.raises(ConfigError):
-            NprConfig(window=2, anchor_index=4)
-        with pytest.raises(ConfigError):
-            NprConfig(window=2, anchor_index=-1)
-        NprConfig(window=3, anchor_index=8)  # last valid slot
+        assert NprConfig().take_abs is True
 
 
 class TestForward:
@@ -56,10 +44,8 @@ class TestForward:
     def test_anchor_positions_are_zero(self):
         rng = np.random.default_rng(0)
         x = rng.random((3, 8, 8))
-        for anchor in range(4):
-            out = npr_extract(Tensor(x), NprConfig(anchor_index=anchor)).data
-            ar, ac = divmod(anchor, 2)
-            np.testing.assert_array_equal(out[:, ar::2, ac::2], 0.0)
+        out = npr_extract(Tensor(x)).data
+        np.testing.assert_array_equal(out[:, ::2, ::2], 0.0)
 
     def test_constant_image_gives_zero(self):
         out = npr_extract(Tensor(np.full((3, 6, 6), 0.37)))
@@ -82,17 +68,13 @@ class TestForward:
         rhs = 2.0 * npr_extract(Tensor(a), cfg).data + 3.0 * npr_extract(Tensor(b), cfg).data
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
-    def test_window_3_anchor_center(self):
-        x = _img(np.arange(9.0).reshape(3, 3))
-        cfg = NprConfig(window=3, anchor_index=4)  # center pixel value 4
-        out = npr_extract(Tensor(x), cfg).data
-        np.testing.assert_array_equal(out[0], np.abs(np.arange(9.0).reshape(3, 3) - 4.0))
-
     def test_divisibility_required(self):
-        with pytest.raises(ShapeError, match="divisible"):
+        with pytest.raises(ShapeError, match="even, got 5x6"):
             npr_extract(Tensor(np.zeros((3, 5, 6))))
-        with pytest.raises(ShapeError, match="divisible"):
+        with pytest.raises(ShapeError, match="even, got 6x5"):
             npr_extract(Tensor(np.zeros((3, 6, 5))))
+        with pytest.raises(ShapeError, match="even, got 7x7"):
+            npr_extract(Tensor(np.zeros((2, 3, 7, 7))))
 
     def test_rank_checked(self):
         with pytest.raises(ShapeError):
@@ -108,7 +90,7 @@ class TestForward:
 
 class TestGradient:
     def test_all_ones_upstream_window2(self):
-        # Non-anchor pixels pass 1; anchors collect 1 - window^2 = -3.
+        # Non-anchor pixels pass 1; anchors collect 1 - 2*2 = -3.
         x = Tensor(_img([[0.1, 0.2], [0.3, 0.4]]), requires_grad=True)
         npr_extract(x, NprConfig(take_abs=False)).backward(np.ones(x.shape))
         np.testing.assert_array_equal(x.grad[0], [[-3.0, 1.0], [1.0, 1.0]])
@@ -117,15 +99,10 @@ class TestGradient:
         rng = np.random.default_rng(4)
         x0 = rng.random((3, 6, 6))
         upstream = rng.normal(size=(3, 6, 6))
-        for cfg in (NprConfig(take_abs=False), NprConfig(take_abs=True),
-                    NprConfig(window=3, anchor_index=5, take_abs=True)):
-            if cfg.window == 3:
-                x0_use = rng.random((3, 6, 6))
-            else:
-                x0_use = x0
-            t = Tensor(x0_use, requires_grad=True)
+        for cfg in (NprConfig(take_abs=False), NprConfig(take_abs=True)):
+            t = Tensor(x0, requires_grad=True)
             npr_extract(t, cfg).backward(upstream)
-            np.testing.assert_allclose(t.grad, dense_adjoint(x0_use, cfg, upstream),
+            np.testing.assert_allclose(t.grad, dense_adjoint(x0, cfg, upstream),
                                        rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("take_abs", [False, True])

@@ -219,9 +219,9 @@ class TestMaxPool2d:
 
 class TestLinear:
     def test_frozen_value(self):
-        out = linear(Tensor([1.0, 2.0]), Tensor([[3.0, 4.0]]), Tensor([0.5]))
-        assert out.data.shape == (1,)
-        assert out.data[0] == 11.5
+        out = linear(Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]]), Tensor([0.5]))
+        assert out.data.shape == (1, 1)
+        assert out.data[0, 0] == 11.5
 
     def test_batched_matches_looped(self):
         rng = np.random.default_rng(8)
@@ -233,29 +233,33 @@ class TestLinear:
         for i in range(4):
             # BLAS blocks batched and single matmuls differently, so
             # agreement is to roundoff rather than bitwise.
-            np.testing.assert_allclose(batched[i], linear(Tensor(xs[i]), w, b).data,
+            np.testing.assert_allclose(batched[i], linear(Tensor(xs[i:i + 1]), w, b).data[0],
                                        rtol=1e-12, atol=1e-12)
 
     def test_feature_mismatch(self):
-        with pytest.raises(ShapeError):
-            linear(Tensor(np.zeros(5)), Tensor(np.zeros((1, 4))))
+        with pytest.raises(ShapeError, match="feature axis"):
+            linear(Tensor(np.zeros((1, 5))), Tensor(np.zeros((1, 4))))
+
+    def test_single_vector_rejected(self):
+        with pytest.raises(ShapeError, match=r"\(B, N\) batch"):
+            linear(Tensor(np.zeros(4)), Tensor(np.zeros((1, 4))))
 
     def test_gradients_tight(self):
         # Linear map: central differences are exact up to roundoff.
         rng = np.random.default_rng(9)
-        x0 = rng.normal(size=64)
+        x0 = rng.normal(size=(1, 64))
         w0 = rng.normal(size=(1, 64))
         b0 = rng.normal(size=1)
         x = Tensor(x0, requires_grad=True)
         w = Tensor(w0, requires_grad=True)
         b = Tensor(b0, requires_grad=True)
-        linear(x, w, b).backward(np.ones(1))
+        linear(x, w, b).backward(np.ones((1, 1)))
 
         def f_x(arr):
-            return float(linear(Tensor(arr), Tensor(w0), Tensor(b0)).data[0])
+            return float(linear(Tensor(arr), Tensor(w0), Tensor(b0)).data[0, 0])
 
         def f_w(arr):
-            return float(linear(Tensor(x0), Tensor(arr), Tensor(b0)).data[0])
+            return float(linear(Tensor(x0), Tensor(arr), Tensor(b0)).data[0, 0])
 
         assert check_gradient(f_x, x0, x.grad) < 1e-6
         assert check_gradient(f_w, w0, w.grad) < 1e-6

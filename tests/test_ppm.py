@@ -87,6 +87,17 @@ class TestParse:
         with pytest.raises(ParseError, match="width"):
             load_ppm(self._write(tmp_path, b"P6\nxx 1\n255\n" + bytes(3)))
 
+    @pytest.mark.parametrize("header, what, offset", [
+        (b"P6\n2_0 4\n255\n", "width", 3),
+        (b"P6\n20 +4\n255\n", "height", 6),
+        (b"P6\n20 4\n25_5\n", "maxval", 8),
+    ], ids=["width", "height", "maxval"])
+    def test_integer_must_be_decimal_digits(self, tmp_path, header, what, offset):
+        # int() would read these as 20, 4 and 255, and the file would load.
+        with pytest.raises(ParseError, match=f"expected {what}") as exc:
+            load_ppm(self._write(tmp_path, header + bytes(20 * 4 * 3)))
+        assert exc.value.offset == offset
+
     def test_nonpositive_dimensions(self, tmp_path):
         with pytest.raises(ParseError, match="dimensions"):
             load_ppm(self._write(tmp_path, b"P6\n0 1\n255\n"))

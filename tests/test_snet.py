@@ -98,16 +98,10 @@ class TestParamCount:
         assert snet_param_count(SNetConfig()) == 45728
 
     def test_matches_brute_enumeration(self):
-        for cfg in (SNetConfig(), SNetConfig(bias=False),
-                    SNetConfig(num_conv_layers=4),
+        for cfg in (SNetConfig(), SNetConfig(num_conv_layers=4),
                     SNetConfig(num_conv_layers=6, channel_plan=(8, 8, 16, 32, 64, 64))):
             net = SNet(cfg, np.random.default_rng(1))
             assert snet_param_count(cfg) == sum(p.data.size for p in net.parameters())
-
-    def test_bias_toggle(self):
-        with_bias = snet_param_count(SNetConfig())
-        without = snet_param_count(SNetConfig(bias=False))
-        assert with_bias - without == 32 + 64 + 64 + 64 + 64
 
 
 class TestReceptiveField:
@@ -153,7 +147,9 @@ class TestForward:
         np.testing.assert_array_equal(out_a, out_b)
 
     def test_zero_input_zero_bias_gives_zero_maps(self):
-        net = SNet(SNetConfig(bias=False), np.random.default_rng(5))
+        net = SNet(SNetConfig(), np.random.default_rng(5))
+        for _, b in net.layers:
+            b.data = np.zeros_like(b.data)
         out = net.forward(Tensor(np.zeros((3, 64, 64))))
         np.testing.assert_array_equal(out.data, 0.0)
 
