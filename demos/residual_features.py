@@ -10,7 +10,7 @@ residual.
 import numpy as np
 
 from localfocus import NprConfig, Tensor, gen_fake, gen_real, npr_extract
-from localfocus.data import resample_2x
+from localfocus.npr import resample_2x
 
 
 def mean_residual(image):

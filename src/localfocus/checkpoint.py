@@ -16,10 +16,12 @@ weight, head bias). Values are stored as float32; loading widens back
 to float64, so save(load(x)) is byte-identical while scores drift by at
 most ~1e-5 versus the float64 originals.
 
-Loading rejects a mismatch of either checksum and any non-finite
-parameter, each with its byte offset. Version 1 files (an activation
-byte, no parameter checksum) and version 2 files (residual grid pitch and
-anchor, conv-bias byte) are refused as an unsupported version.
+Loading rejects a mismatch of either checksum, an out-of-range header
+value, a header describing more parameters than the file can hold, and
+any non-finite parameter, each with its byte offset. Version 1 files
+(an activation byte, no parameter checksum) and version 2 files
+(residual grid pitch and anchor, conv-bias byte) are refused as an
+unsupported version.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ import zlib
 
 import numpy as np
 
-from .errors import DomainError, ParseError
-from .model import POOLING_VARIANTS, LfmModel
+from .errors import ConfigError, DomainError, ParseError
+from .model import POOLING_VARIANTS, LfmModel, head_width
 from .npr import NprConfig
 from .pooling import TkpConfig
-from .snet import SNetConfig
+from .snet import SNetConfig, snet_param_count
 
 MAGIC = b"LFM1"
 VERSION = 3
@@ -92,6 +94,15 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
 
+def _header_config(offset: int, build, **fields):
+    """``build(**fields)``, with an out-of-range value reported as a
+    :class:`ParseError` at ``offset``, where those fields start."""
+    try:
+        return build(**fields)
+    except ConfigError as e:
+        raise ParseError(f"checkpoint header: {e}", offset=offset) from None
+
+
 def load_checkpoint(path: str) -> LfmModel:
     """Rebuild a model from ``path``; every structural mismatch raises
     :class:`ParseError` with the offending byte offset."""
@@ -106,6 +117,7 @@ def load_checkpoint(path: str) -> LfmModel:
         raise ParseError(f"unsupported checkpoint version {version}", offset=4)
 
     (take_abs,) = r.unpack("<B", "residual config")
+    snet_at = r.pos
     num_layers, plan_len = r.unpack("<II", "conv stack plan")
     plan = r.unpack(f"<{plan_len}I", "channel plan") if plan_len else ()
     (pool_len,) = r.unpack("<I", "pool plan length")
@@ -113,7 +125,9 @@ def load_checkpoint(path: str) -> LfmModel:
     (pool_code,) = r.unpack("<B", "pooling variant")
     if pool_code >= len(POOLING_VARIANTS):
         raise ParseError(f"unknown pooling variant code {pool_code}", offset=r.pos - 1)
+    tkp_at = r.pos
     k, p_min, p_max, rbld, rks = r.unpack("<IddBB", "pooling config")
+    head_at = r.pos
     threshold, alpha = r.unpack("<dd", "head config")
 
     head_end = r.pos
@@ -125,16 +139,20 @@ def load_checkpoint(path: str) -> LfmModel:
             offset=head_end,
         )
 
-    model = LfmModel(
-        npr_cfg=NprConfig(take_abs=bool(take_abs)),
-        snet_cfg=SNetConfig(num_conv_layers=num_layers, channel_plan=plan,
-                            pool_after=frozenset(pool)),
-        tkp_cfg=TkpConfig(k=k, p_min=p_min, p_max=p_max,
-                          rbld_enabled=bool(rbld), rks_enabled=bool(rks)),
-        pooling=POOLING_VARIANTS[pool_code],
-        decision_threshold=threshold,
-        alpha=alpha,
-    )
+    snet_cfg = _header_config(snet_at, SNetConfig, num_conv_layers=num_layers,
+                              channel_plan=plan, pool_after=frozenset(pool))
+    tkp_cfg = _header_config(tkp_at, TkpConfig, k=k, p_min=p_min, p_max=p_max,
+                             rbld_enabled=bool(rbld), rks_enabled=bool(rks))
+    pooling = POOLING_VARIANTS[pool_code]
+    # Each parameter (conv stack, head weight, head bias) takes 4 bytes of
+    # the file: refuse a header describing more before allocating them.
+    need = snet_param_count(snet_cfg) + head_width(pooling, k) + 1
+    if 4 * need > len(raw) - r.pos:
+        raise ParseError(f"header describes {need} parameters, more than the "
+                         f"{len(raw) - r.pos} bytes after it hold", offset=r.pos)
+    model = _header_config(head_at, LfmModel, npr_cfg=NprConfig(take_abs=bool(take_abs)),
+                           snet_cfg=snet_cfg, tkp_cfg=tkp_cfg, pooling=pooling,
+                           decision_threshold=threshold, alpha=alpha)
 
     (crc_params,) = r.unpack("<I", "parameter checksum")
     payload_start = r.pos

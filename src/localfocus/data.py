@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ParseError
+from .npr import resample_2x
 from .ppm import load_ppm
 
 REAL_LABEL = 0
@@ -110,13 +111,6 @@ def _block_zero_mean(noise: np.ndarray) -> np.ndarray:
     blocks = noise.reshape(c, h // 2, 2, w // 2, 2)
     means = blocks.mean(axis=(2, 4), keepdims=True)
     return (blocks - means).reshape(c, h, w)
-
-
-def resample_2x(image: np.ndarray) -> np.ndarray:
-    """Nearest-neighbor 2x down-then-up: every 2x2 block becomes its
-    top-left pixel."""
-    down = image[:, ::2, ::2]
-    return down.repeat(2, axis=1).repeat(2, axis=2)
 
 
 def gen_fake(reals: list[SampleRecord], rng: np.random.Generator) -> list[SampleRecord]:

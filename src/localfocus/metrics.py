@@ -68,7 +68,7 @@ class EvalReport:
     """Evaluation summary; serializes to JSON with a fixed key order.
 
     It holds no timing, so evaluation output is byte-reproducible;
-    throughput is measured by ``train.bench`` instead.
+    ``perfbench/run.py`` measures throughput instead.
     """
 
     acc: float
@@ -79,7 +79,3 @@ class EvalReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2) + "\n"
-
-    @staticmethod
-    def from_json(text: str) -> "EvalReport":
-        return EvalReport(**json.loads(text))

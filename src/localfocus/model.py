@@ -44,12 +44,17 @@ def _check_finite(image: np.ndarray, what: str) -> None:
         raise DomainError(f"{what} has a non-finite pixel {image[where]} at {where}")
 
 
+def head_width(pooling: str, k: int) -> int:
+    """Length of the vector the head scores: 64*k under top-k pooling, else 64."""
+    return OUT_CHANNELS * k if pooling == "tkp" else OUT_CHANNELS
+
+
 class LfmModel:
     """Detector with a configurable pooling variant.
 
     ``pooling`` selects top-k ("tkp", the real model) or a global
     average/max baseline ("gap"/"gmp") over the same salience net; the
-    head width follows the choice (64*k vs 64). All parameters are
+    head width follows the choice (:func:`head_width`). All parameters are
     initialized deterministically from ``seed``.
     """
 
@@ -75,7 +80,7 @@ class LfmModel:
 
         rng = np.random.default_rng((seed, 0))
         self.snet = SNet(self.snet_cfg, rng)
-        width = OUT_CHANNELS * self.tkp_cfg.k if pooling == "tkp" else OUT_CHANNELS
+        width = head_width(pooling, self.tkp_cfg.k)
         self.fc_weight = Tensor(rng.normal(0.0, 1.0 / np.sqrt(width), size=(1, width)),
                                 requires_grad=True)
         self.fc_bias = Tensor(np.zeros(1), requires_grad=True)

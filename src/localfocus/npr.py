@@ -35,12 +35,18 @@ class NprConfig:
     take_abs: bool = True
 
 
+def resample_2x(data: np.ndarray) -> np.ndarray:
+    """Nearest 2x down-then-up on the last two axes: every 2x2 block
+    becomes its top-left pixel."""
+    return data[..., ::2, ::2].repeat(2, axis=-2).repeat(2, axis=-1)
+
+
 def _residual(data: np.ndarray) -> np.ndarray:
     """Signed residual of ``data`` (any rank >= 2; acts on the last two axes)."""
     h, w = data.shape[-2], data.shape[-1]
     if h % 2 or w % 2:
         raise ShapeError(f"npr height and width must both be even, got {h}x{w}")
-    return data - data[..., ::2, ::2].repeat(2, axis=-2).repeat(2, axis=-1)
+    return data - resample_2x(data)
 
 
 def npr_extract(image: Tensor, cfg: NprConfig = NprConfig()) -> Tensor:
@@ -52,27 +58,24 @@ def npr_extract(image: Tensor, cfg: NprConfig = NprConfig()) -> Tensor:
     """
     if image.data.ndim not in (3, 4):
         raise ShapeError(f"npr_extract input must be CxHxW or NxCxHxW, got rank {image.data.ndim}")
-    res = _residual(image.data)
-    out_data = np.abs(res) if cfg.take_abs else res
 
     def backward():
-        image._accumulate(_residual_backward(res, cfg, out.grad))
+        image._accumulate(_residual_backward(out.grad))
 
-    out = Tensor._wrap(out_data, (image,), backward)
-    return out
+    out = Tensor._wrap(_residual(image.data), (image,), backward)
+    return out.abs() if cfg.take_abs else out
 
 
-def _residual_backward(res: np.ndarray, cfg: NprConfig, upstream: np.ndarray) -> np.ndarray:
-    """Adjoint of the residual map (including the optional |.|).
+def _residual_backward(upstream: np.ndarray) -> np.ndarray:
+    """Adjoint of the signed residual map.
 
     Each anchor pixel feeds every pixel of its 2x2 block negatively and
     itself positively, so with all-ones upstream the anchor gradient is
     1 - 4 = -3 and every other pixel gets 1.
     """
-    g0 = upstream * np.sign(res) if cfg.take_abs else np.asarray(upstream, dtype=np.float64)
-    lead = res.shape[:-2]
-    hh, ww = res.shape[-2], res.shape[-1]
-    block_sums = g0.reshape(*lead, hh // 2, 2, ww // 2, 2).sum(axis=(-3, -1))
-    dx = np.array(g0, dtype=np.float64, copy=True)
+    lead = upstream.shape[:-2]
+    hh, ww = upstream.shape[-2], upstream.shape[-1]
+    block_sums = upstream.reshape(*lead, hh // 2, 2, ww // 2, 2).sum(axis=(-3, -1))
+    dx = upstream.copy()
     dx[..., ::2, ::2] -= block_sums
     return dx

@@ -32,9 +32,9 @@ def _as_batch(data: np.ndarray, what: str) -> tuple[np.ndarray, bool]:
     raise ShapeError(f"{what} must be CxHxW or NxCxHxW, got rank {data.ndim}")
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlate ``x`` with ``weight`` (+ optional per-channel bias).
+    """Cross-correlate ``x`` with ``weight`` and add the per-channel ``bias``.
 
     Output spatial extent per axis is floor((in + 2*padding - k)/stride) + 1.
     Implemented as im2col + one matmul; backward scatters through the
@@ -53,7 +53,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"conv2d channel axis mismatch: input has {cin} channels, weight expects {cin_w}")
     if kh < 1 or kw < 1:
         raise ShapeError(f"conv2d kernel must be at least 1x1, got {kh}x{kw}")
-    if bias is not None and bias.data.shape != (cout,):
+    if bias.data.shape != (cout,):
         raise ShapeError(f"conv2d bias must have shape ({cout},), got {bias.data.shape}")
     hp, wp = h + 2 * padding, w + 2 * padding
     if hp < kh:
@@ -68,19 +68,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     # (n, ho, wo, cin, kh, kw) -> one row per output pixel
     col = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, cin * kh * kw)
     wmat = weight.data.reshape(cout, cin * kh * kw)
-    flat = col @ wmat.T
-    if bias is not None:
-        flat = flat + bias.data
+    flat = col @ wmat.T + bias.data
     out_data = flat.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
     if squeeze:
         out_data = out_data[0]
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
     def backward():
         g = out.grad if not squeeze else out.grad[None]
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, cout)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accumulate(gmat.sum(axis=0))
         if weight.requires_grad:
             weight._accumulate((gmat.T @ col).reshape(weight.data.shape))
@@ -93,7 +89,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             dx = dxp[:, :, padding:padding + h, padding:padding + w] if padding else dxp
             x._accumulate(dx[0] if squeeze else dx)
 
-    out = Tensor._wrap(np.ascontiguousarray(out_data), parents, backward)
+    out = Tensor._wrap(np.ascontiguousarray(out_data), (x, weight, bias), backward)
     return out
 
 
@@ -140,13 +136,13 @@ def maxpool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
     return out
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map ``weight @ x + bias`` with ``weight`` of shape (1, N),
     taking a batch (B, N) to (B, 1)."""
     if weight.data.ndim != 2 or weight.data.shape[0] != 1:
         raise ShapeError(f"linear weight must have shape (1, N), got {weight.data.shape}")
     nfeat = weight.data.shape[1]
-    if bias is not None and bias.data.shape != (1,):
+    if bias.data.shape != (1,):
         raise ShapeError(f"linear bias must have shape (1,), got {bias.data.shape}")
     xd = x.data
     if xd.ndim != 2:
@@ -154,23 +150,18 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if xd.shape[1] != nfeat:
         raise ShapeError(f"linear feature axis mismatch: input {xd.shape} vs weight (1, {nfeat})")
 
-    out_data = xd @ weight.data[0]
-    if bias is not None:
-        out_data = out_data + bias.data[0]
-    out_data = out_data[:, None]  # (B, 1)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    out_data = (xd @ weight.data[0] + bias.data[0])[:, None]  # (B, 1)
 
     def backward():
         g = out.grad  # (B, 1)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accumulate(g.sum(axis=0))
         if weight.requires_grad:
             weight._accumulate(g.T @ xd)
         if x.requires_grad:
             x._accumulate(g @ weight.data)
 
-    out = Tensor._wrap(out_data, parents, backward)
+    out = Tensor._wrap(out_data, (x, weight, bias), backward)
     return out
 
 

@@ -22,22 +22,21 @@ from .errors import ConfigError, StateError
 from .tensor import Tensor
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class Adam:
     """Adam over a fixed parameter list: one step count ``t`` and one
-    ``m``/``v`` moment buffer per parameter."""
+    ``m``/``v`` moment buffer per parameter. Only the learning rate is
+    settable; the betas and eps are the module constants above."""
 
     params: list[Tensor]
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
-        if not (0.0 <= self.beta1 < 1.0) or not (0.0 <= self.beta2 < 1.0):
-            raise ConfigError(f"adam betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
-        if self.eps <= 0.0:
-            raise ConfigError(f"adam eps must be positive, got {self.eps}")
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -57,8 +56,8 @@ class Adam:
                                  f"{p.grad.flat[bad]} at element {bad}")
         self.t += 1
         for i, p in enumerate(self.params):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * p.grad
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (p.grad * p.grad)
-            m_hat = self.m[i] / (1.0 - self.beta1 ** self.t)
-            v_hat = self.v[i] / (1.0 - self.beta2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * p.grad
+            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * (p.grad * p.grad)
+            m_hat = self.m[i] / (1.0 - BETA1 ** self.t)
+            v_hat = self.v[i] / (1.0 - BETA2 ** self.t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)

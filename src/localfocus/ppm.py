@@ -60,13 +60,16 @@ class _ByteCursor:
         return raw[start:self.pos]
 
     def read_int(self, what: str) -> int:
-        self.skip_separators()
-        start_after_sep = self.pos
         tok = self.read_token(what)
+        start = self.pos - len(tok)
         # bytes.isdigit is ASCII-only; int() alone would also take b"+4" and b"2_0".
         if not tok.isdigit():
-            raise ParseError(f"expected {what}, got {tok!r}", offset=start_after_sep)
-        return int(tok)
+            raise ParseError(f"expected {what}, got {tok!r}", offset=start)
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"{what} has {len(tok)} digits, too many to read",
+                             offset=start) from None
 
 
 def load_ppm(path: str) -> np.ndarray:

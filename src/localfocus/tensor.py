@@ -6,8 +6,8 @@ walks the recorded graph once in reverse topological order. Ops never
 build graph state when no input requires gradients, so inference runs
 allocation-light.
 
-Shape rules are strict: binary ops demand identical shapes (or a Python
-scalar); there is no implicit broadcasting.
+Shape rules are strict: ``+`` and ``-`` take two tensors of identical
+shape, ``*`` also a Python scalar; there is no implicit broadcasting.
 """
 
 from __future__ import annotations
@@ -62,10 +62,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -131,33 +127,22 @@ class Tensor:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            if other.shape != self.shape:
-                raise ShapeError(f"add needs matching shapes, got {self.shape} and {other.shape}")
-            out_data = self.data + other.data
-            a, b = self, other
+    def __add__(self, other: "Tensor") -> "Tensor":
+        if not isinstance(other, Tensor):
+            return NotImplemented
+        if other.shape != self.shape:
+            raise ShapeError(f"add needs matching shapes, got {self.shape} and {other.shape}")
+        out_data = self.data + other.data
+        a, b = self, other
 
-            def backward():
-                if a.requires_grad:
-                    a._accumulate(out.grad)
-                if b.requires_grad:
-                    b._accumulate(out.grad)
-
-            out = Tensor._wrap(out_data, (a, b), backward)
-            return out
-        if isinstance(other, (int, float)):
-            a = self
-            out_data = self.data + float(other)
-
-            def backward():
+        def backward():
+            if a.requires_grad:
                 a._accumulate(out.grad)
+            if b.requires_grad:
+                b._accumulate(out.grad)
 
-            out = Tensor._wrap(out_data, (a,), backward)
-            return out
-        return NotImplemented
-
-    __radd__ = __add__
+        out = Tensor._wrap(out_data, (a, b), backward)
+        return out
 
     def __mul__(self, other) -> "Tensor":
         if isinstance(other, Tensor):
@@ -191,15 +176,10 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         return self * -1.0
 
-    def __sub__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return self + (-other)
-        if isinstance(other, (int, float)):
-            return self + (-float(other))
-        return NotImplemented
-
-    def __rsub__(self, other) -> "Tensor":
-        return (-self) + other
+    def __sub__(self, other: "Tensor") -> "Tensor":
+        if not isinstance(other, Tensor):
+            return NotImplemented
+        return self + (-other)
 
     def sum(self) -> "Tensor":
         a = self

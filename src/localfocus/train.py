@@ -31,9 +31,10 @@ _STEP_TAG = 202
 class TrainConfig:
     """Run settings for :func:`train`.
 
-    ``rbld``/``rks`` default to None meaning "on when pooling is tkp";
-    requesting them with a non-tkp pooling variant is a contradiction
-    and rejected.
+    ``rbld``/``rks`` default to None meaning "as the ``TkpConfig`` given
+    to :func:`build_model` says (on by default) when pooling is tkp, off
+    otherwise"; requesting them with a non-tkp pooling variant is a
+    contradiction and rejected.
     """
 
     lr: float = 1e-4
@@ -117,22 +118,24 @@ def build_model(cfg: TrainConfig, *, tkp_cfg: TkpConfig | None = None, **model_k
     """Construct the model a :class:`TrainConfig` describes.
 
     This is where ``cfg.rbld``/``cfg.rks`` become the model's
-    ``TkpConfig`` flags; unset, they follow the pooling variant. Other
-    keyword arguments (``npr_cfg``, ``snet_cfg``, ``decision_threshold``,
-    ``alpha``) go to :class:`LfmModel` unchanged.
+    ``TkpConfig`` flags. Unset, they keep ``tkp_cfg``'s flags under tkp
+    pooling and are off under gap/gmp. Other keyword arguments
+    (``npr_cfg``, ``snet_cfg``, ``decision_threshold``, ``alpha``) go to
+    :class:`LfmModel` unchanged.
     """
-    tkp_default = cfg.pooling == "tkp"
-    tkp = replace(tkp_cfg or TkpConfig(),
-                  rbld_enabled=tkp_default if cfg.rbld is None else bool(cfg.rbld),
-                  rks_enabled=tkp_default if cfg.rks is None else bool(cfg.rks))
+    tkp = tkp_cfg or TkpConfig()
+    on = cfg.pooling == "tkp"
+    tkp = replace(tkp,
+                  rbld_enabled=(on and tkp.rbld_enabled) if cfg.rbld is None else bool(cfg.rbld),
+                  rks_enabled=(on and tkp.rks_enabled) if cfg.rks is None else bool(cfg.rks))
     return LfmModel(tkp_cfg=tkp, pooling=cfg.pooling, seed=cfg.seed, **model_kwargs)
 
 
 def evaluate(model: LfmModel, dataset: list[SampleRecord]) -> EvalReport:
     """Score every sample deterministically and summarize.
 
-    The report carries no timing, so it is byte-reproducible; use
-    :func:`bench` for throughput.
+    The report carries no timing, so it is byte-reproducible;
+    ``perfbench/run.py`` measures throughput.
     """
     if len(dataset) == 0:
         raise ConfigError("evaluate needs a non-empty dataset")

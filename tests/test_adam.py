@@ -1,9 +1,12 @@
 """Adam: frozen reference trace, update geometry, state handling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from localfocus import Adam, ConfigError, StateError, Tensor
+from localfocus.optim import BETA1, BETA2, EPS
 
 
 def reference_adam(theta, grads, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -78,7 +81,9 @@ class TestAdamStep:
 
     def test_defaults(self):
         opt = Adam([Tensor(np.zeros(1), requires_grad=True)])
-        assert (opt.lr, opt.beta1, opt.beta2, opt.eps, opt.t) == (1e-4, 0.9, 0.999, 1e-8, 0)
+        assert (opt.lr, opt.t) == (1e-4, 0)
+        assert (BETA1, BETA2, EPS) == (0.9, 0.999, 1e-8)
+        assert [f.name for f in dataclasses.fields(Adam)] == ["params", "lr"]
 
 
 class TestAdamWrapper:
@@ -99,11 +104,11 @@ class TestAdamWrapper:
             opt.step()
 
     def test_bad_hyperparameters(self):
+        # Only the learning rate is settable; the rest are module constants.
         a = Tensor(np.array([1.0]), requires_grad=True)
-        with pytest.raises(ConfigError):
-            Adam([a], beta1=1.0)
-        with pytest.raises(ConfigError):
-            Adam([a], eps=0.0)
+        for hyper in ("beta1", "beta2", "eps"):
+            with pytest.raises(TypeError):
+                Adam([a], **{hyper: 0.9})
 
     def test_missing_gradient_moves_nothing(self):
         # The check runs over every parameter before any update, so a

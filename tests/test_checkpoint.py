@@ -2,6 +2,7 @@
 
 import re
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -174,6 +175,48 @@ class TestCorruption:
         with pytest.raises(DomainError, match=re.escape(f"array {last} element 0 holds {bad!r}")):
             save_checkpoint(model, str(path))
         assert not path.exists()
+
+    def _rewrite_header(self, tmp_path, blob, model, field_at, fmt, value):
+        """``blob`` with ``value`` packed at ``field_at`` and the header
+        checksum recomputed, so only the value check can refuse it."""
+        head_end = 8 + len(_config_payload(model))
+        tampered = bytearray(blob)
+        struct.pack_into(fmt, tampered, field_at, value)
+        struct.pack_into("<I", tampered, head_end, zlib.crc32(bytes(tampered[:head_end])))
+        return self._write(tmp_path, bytes(tampered))
+
+    def test_oversized_header_refused_before_allocating(self, tmp_path):
+        # k = 2**20 asks for a 64 Mi-entry head; the file holds ~47k values.
+        model = LfmModel()
+        _, blob = save_bytes(model, tmp_path)
+        k_at = 8 + len(_config_payload(model)) - 38  # k, p_min, p_max, 2 flags, threshold, alpha
+        assert blob[k_at:k_at + 4] == struct.pack("<I", model.tkp_cfg.k)
+        path = self._rewrite_header(tmp_path, blob, model, k_at, "<I", 2**20)
+        tracemalloc.start()
+        try:
+            # 45,728 conv-stack values plus a (1, 64 * 2**20) head weight and its bias.
+            with pytest.raises(ParseError, match="header describes 67154593 parameters"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    # odd_model's header: take_abs at 8, layer count and plan length at 9,
+    # the plan (8, 16, 64) at 17, the pool plan at 29, the pooling code at
+    # 37 and k = 3 at 38.
+    @pytest.mark.parametrize("field_at, stored, value, message", [
+        (38, 3, 0, "tkp k must be >= 1, got 0"),
+        (25, 64, 32, "channel_plan must end in 64, got 32"),
+    ], ids=["k=0", "plan-not-ending-in-64"])
+    def test_out_of_range_header_value(self, tmp_path, field_at, stored, value, message):
+        model = odd_model()
+        _, blob = save_bytes(model, tmp_path)
+        assert blob[field_at:field_at + 4] == struct.pack("<I", stored)
+        path = self._rewrite_header(tmp_path, blob, model, field_at, "<I", value)
+        with pytest.raises(ParseError, match=re.escape(message)) as exc:
+            load_checkpoint(path)
+        assert 8 < exc.value.offset <= field_at
 
     def test_format_constants(self):
         assert MAGIC == b"LFM1"

@@ -139,6 +139,15 @@ class TestExitCodes:
                    "--out", str(tmp_path / "r")])
         assert rc == 2
 
+    def test_overlong_ppm_integer_is_exit_2(self, workspace, tmp_path, capsys):
+        image = tmp_path / "wide.ppm"
+        image.write_bytes(b"P6\n" + b"9" * 5000 + b" 1\n255\n" + bytes(3))
+        rc = main(["infer", "--checkpoint", workspace["best"], "--image", str(image)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "width has 5000 digits" in err and "(at byte 3)" in err
+        assert "Traceback" not in err
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus = 1\n")

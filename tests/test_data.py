@@ -6,7 +6,8 @@ import pytest
 from localfocus import (ConfigError, DatasetManifest, NprConfig, ParseError,
                         Tensor, gen_fake, gen_real, load_dataset, npr_extract,
                         read_manifest, save_ppm, write_manifest)
-from localfocus.data import SampleRecord, resample_2x
+from localfocus.data import SampleRecord
+from localfocus.npr import resample_2x
 
 
 def mean_abs_residual(image):

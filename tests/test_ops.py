@@ -39,11 +39,11 @@ class TestConv2d:
 
     def test_linearity_in_input(self):
         rng = np.random.default_rng(1)
-        w = Tensor(rng.normal(size=(4, 3, 2, 2)))
+        w, zero = Tensor(rng.normal(size=(4, 3, 2, 2))), Tensor(np.zeros(4))
         a = rng.normal(size=(3, 6, 6))
         b = rng.normal(size=(3, 6, 6))
-        out_sum = conv2d(Tensor(a + 2.0 * b), w)
-        out_parts = conv2d(Tensor(a), w).data + 2.0 * conv2d(Tensor(b), w).data
+        out_sum = conv2d(Tensor(a + 2.0 * b), w, zero)
+        out_parts = conv2d(Tensor(a), w, zero).data + 2.0 * conv2d(Tensor(b), w, zero).data
         np.testing.assert_allclose(out_sum.data, out_parts, atol=1e-12)
 
     @pytest.mark.parametrize("h,w,k,stride,padding", [
@@ -54,7 +54,7 @@ class TestConv2d:
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(2, h, w)))
         wt = Tensor(rng.normal(size=(3, 2, k, k)))
-        out = conv2d(x, wt, stride=stride, padding=padding)
+        out = conv2d(x, wt, Tensor(np.zeros(3)), stride=stride, padding=padding)
         assert out.data.shape == (3, conv_output_extent(h, k, stride, padding),
                                   conv_output_extent(w, k, stride, padding))
 
@@ -76,21 +76,25 @@ class TestConv2d:
         x = Tensor(np.zeros((3, 4, 4)))
         w = Tensor(np.zeros((1, 4, 2, 2)))
         with pytest.raises(ShapeError, match="channel"):
-            conv2d(x, w)
+            conv2d(x, w, Tensor(np.zeros(1)))
 
     def test_kernel_larger_than_input(self):
         x = Tensor(np.zeros((1, 2, 2)))
         w = Tensor(np.zeros((1, 1, 3, 3)))
         with pytest.raises(ShapeError):
-            conv2d(x, w)
+            conv2d(x, w, Tensor(np.zeros(1)))
 
     def test_bad_stride_and_padding(self):
         x = Tensor(np.zeros((1, 4, 4)))
-        w = Tensor(np.zeros((1, 1, 2, 2)))
+        w, b = Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros(1))
         with pytest.raises(ConfigError):
-            conv2d(x, w, stride=0)
+            conv2d(x, w, b, stride=0)
         with pytest.raises(ConfigError):
-            conv2d(x, w, padding=-1)
+            conv2d(x, w, b, padding=-1)
+
+    def test_bias_required(self):
+        with pytest.raises(TypeError):
+            conv2d(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))))
 
     def test_batched_matches_looped(self):
         rng = np.random.default_rng(4)
@@ -238,11 +242,15 @@ class TestLinear:
 
     def test_feature_mismatch(self):
         with pytest.raises(ShapeError, match="feature axis"):
-            linear(Tensor(np.zeros((1, 5))), Tensor(np.zeros((1, 4))))
+            linear(Tensor(np.zeros((1, 5))), Tensor(np.zeros((1, 4))), Tensor(np.zeros(1)))
 
     def test_single_vector_rejected(self):
         with pytest.raises(ShapeError, match=r"\(B, N\) batch"):
-            linear(Tensor(np.zeros(4)), Tensor(np.zeros((1, 4))))
+            linear(Tensor(np.zeros(4)), Tensor(np.zeros((1, 4))), Tensor(np.zeros(1)))
+
+    def test_bias_required(self):
+        with pytest.raises(TypeError):
+            linear(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4))))
 
     def test_gradients_tight(self):
         # Linear map: central differences are exact up to roundoff.

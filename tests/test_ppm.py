@@ -98,6 +98,13 @@ class TestParse:
             load_ppm(self._write(tmp_path, header + bytes(20 * 4 * 3)))
         assert exc.value.offset == offset
 
+    def test_integer_too_long_to_convert(self, tmp_path):
+        # 5,000 digits is past int()'s default 4,300-digit limit.
+        raw = b"P6\n" + b"9" * 5000 + b" 1\n255\n" + bytes(3)
+        with pytest.raises(ParseError, match="width has 5000 digits") as exc:
+            load_ppm(self._write(tmp_path, raw))
+        assert exc.value.offset == 3
+
     def test_nonpositive_dimensions(self, tmp_path):
         with pytest.raises(ParseError, match="dimensions"):
             load_ppm(self._write(tmp_path, b"P6\n0 1\n255\n"))

@@ -46,11 +46,19 @@ class TestArithmetic:
             Tensor([1.0, 2.0]) + Tensor([1.0, 2.0, 3.0])
 
     def test_scalar_add_and_mul(self):
+        # Scalars multiply a tensor; adding one is refused (see below).
         a = Tensor([2.0], requires_grad=True)
-        out = (3.0 * a + 1.0).sum()
-        assert out.item() == 7.0
+        out = (3.0 * a).sum()
+        assert out.item() == 6.0
         out.backward()
         np.testing.assert_array_equal(a.grad, [3.0])
+
+    @pytest.mark.parametrize("form", [lambda t: t + 1.0, lambda t: 1.0 + t,
+                                      lambda t: t - 1.0, lambda t: 1.0 - t],
+                             ids=["t+1", "1+t", "t-1", "1-t"])
+    def test_scalar_add_and_sub_refused(self, form):
+        with pytest.raises(TypeError):
+            form(Tensor([2.0]))
 
     def test_elementwise_mul_grads(self):
         a = Tensor([2.0, 3.0], requires_grad=True)

@@ -1,6 +1,7 @@
 """Training loop, evaluation, and bench plumbing."""
 
 import inspect
+import json
 
 import numpy as np
 import pytest
@@ -41,6 +42,16 @@ class TestTrainConfig:
         cfg = TrainConfig(pooling="tkp", rbld=False, rks=False)
         tkp = tiny_model(cfg).tkp_cfg
         assert not tkp.rbld_enabled and not tkp.rks_enabled
+
+    def test_unset_flags_keep_the_tkp_config_flags(self):
+        off = TkpConfig(k=4, rbld_enabled=False, rks_enabled=False)
+        tkp = build_model(TrainConfig(), snet_cfg=TINY_SNET, tkp_cfg=off).tkp_cfg
+        assert not tkp.rbld_enabled and not tkp.rks_enabled
+        tkp = build_model(TrainConfig(rbld=True), snet_cfg=TINY_SNET, tkp_cfg=off).tkp_cfg
+        assert tkp.rbld_enabled and not tkp.rks_enabled
+        mixed = TkpConfig(k=4, rbld_enabled=True, rks_enabled=False)
+        tkp = build_model(TrainConfig(), snet_cfg=TINY_SNET, tkp_cfg=mixed).tkp_cfg
+        assert tkp.rbld_enabled and not tkp.rks_enabled
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -142,7 +153,7 @@ class TestEvaluate:
         a = evaluate(model, data)
         b = evaluate(model, data)
         assert a == b
-        assert EvalReport.from_json(a.to_json()) == a
+        assert EvalReport(**json.loads(a.to_json())) == a
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
