@@ -21,8 +21,7 @@ from .optim import Adam
 from .pooling import (PooledVectors, TkpConfig, gap_pool, gmp_pool,
                       rbld_probabilities, tkp_pool)
 from .ppm import load_ppm, save_ppm
-from .snet import (SNet, SNetConfig, output_shape, receptive_field,
-                   snet_param_count)
+from .snet import SNet, SNetConfig, output_shape, snet_param_count
 from .tensor import Tensor
 from .train import (BenchReport, TrainConfig, TrainResult, bench, build_model,
                     evaluate, train)
@@ -39,7 +38,7 @@ __all__ = [
     "evaluate", "gap_pool", "gen_fake", "gen_real", "gmp_pool", "linear",
     "load_checkpoint", "load_dataset", "load_ppm", "maxpool2d", "npr_extract",
     "numeric_gradient", "output_shape", "rbld_probabilities", "read_manifest",
-    "receptive_field", "relative_error", "save_checkpoint", "save_ppm",
+    "relative_error", "save_checkpoint", "save_ppm",
     "snet_param_count", "tkp_pool", "total_param_count",
     "train", "write_manifest",
 ]

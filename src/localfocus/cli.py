@@ -239,12 +239,11 @@ def _config(cls, opts: dict):
 
 
 def _cmd_train(opts: dict) -> int:
-    manifest = read_manifest(opts["manifest"])
-    dataset = load_dataset(manifest)
     npr_cfg, snet_cfg, train_cfg, tkp_cfg = (
         _config(cls, opts) for cls in (NprConfig, SNetConfig, TrainConfig, TkpConfig))
     model = build_model(train_cfg, npr_cfg=npr_cfg, snet_cfg=snet_cfg, tkp_cfg=tkp_cfg,
                         decision_threshold=opts["decision_threshold"], alpha=opts["alpha"])
+    dataset = load_dataset(read_manifest(opts["manifest"]))
     result = train(model, dataset, train_cfg)
 
     out_dir = opts["out"]
@@ -298,9 +297,10 @@ _COMMANDS = [
 def build_parser() -> _Parser:
     parser = _Parser(prog=PROG, description="local-artifact deepfake detector")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for name, fields, _fn, help_text in _COMMANDS:
+    for name, fields, handler, help_text in _COMMANDS:
         p = sub.add_parser(name, help=help_text, description=help_text)
         _add_arguments(p, fields)
+        p.set_defaults(fields=fields, handler=handler)
     return parser
 
 
@@ -311,11 +311,7 @@ def main(argv: list[str] | None = None) -> int:
         if ns.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        for name, fields, fn, _help in _COMMANDS:
-            if name == ns.command:
-                opts = _merge(fields, ns, f"{PROG} {name}")
-                return fn(opts)
-        raise _UsageError(f"{PROG}: unknown command {ns.command!r}")
+        return ns.handler(_merge(ns.fields, ns, f"{PROG} {ns.command}"))
     except _UsageError as e:
         print(str(e), file=sys.stderr)
         return 1

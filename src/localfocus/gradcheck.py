@@ -19,7 +19,6 @@ from typing import Callable
 import numpy as np
 
 DEFAULT_STEP = 1e-3
-DEFAULT_TOLERANCE = 1e-4
 
 
 def numeric_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,

@@ -37,11 +37,24 @@ class LossReport:
     total: float
 
 
-def _check_finite(image: np.ndarray, what: str) -> None:
-    """Reject NaN/inf pixels, which would otherwise score as a label."""
-    if not np.isfinite(image).all():
-        where = tuple(int(i) for i in np.argwhere(~np.isfinite(image))[0])
-        raise DomainError(f"{what} has a non-finite pixel {image[where]} at {where}")
+def _batch(images) -> np.ndarray:
+    """Stack (3, H, W) images into the float64 (N, 3, H, W) batch.
+
+    Rejects an empty batch, a wrong rank, an image shaped unlike image 0,
+    and a NaN/inf pixel, which would otherwise score as a label.
+    """
+    images = [np.asarray(im, dtype=np.float64) for im in images]
+    if not images:
+        raise ConfigError("a batch needs at least one image")
+    for i, im in enumerate(images):
+        if im.ndim != 3:
+            raise ShapeError(f"image {i} must be one 3xHxW image, got rank {im.ndim}")
+        if im.shape != images[0].shape:
+            raise ShapeError(f"image {i} has shape {im.shape}, unlike image 0 with {images[0].shape}")
+        if not np.isfinite(im).all():
+            where = tuple(int(j) for j in np.argwhere(~np.isfinite(im))[0])
+            raise DomainError(f"image {i} has a non-finite pixel {im[where]} at {where}")
+    return np.stack(images)
 
 
 def head_width(pooling: str, k: int) -> int:
@@ -121,19 +134,15 @@ class LfmModel:
         step. Returns per-sample top-k scores, per-sample random-sample
         scores (None unless the variant emits them), and the loss report.
         """
-        images = [np.asarray(im, dtype=np.float64) for im in images]
-        if len(images) == 0:
-            raise ConfigError("forward_train needs a non-empty batch")
-        for i, im in enumerate(images):
-            _check_finite(im, f"batch image {i}")
+        batch = _batch(images)
         labels = np.asarray(labels)
-        if labels.shape != (len(images),):
-            raise ShapeError(f"got {len(images)} images but labels shaped {labels.shape}")
+        if labels.shape != (len(batch),):
+            raise ShapeError(f"got {len(batch)} images but labels shaped {labels.shape}")
         if not np.all((labels == 0) | (labels == 1)):
             raise DomainError("labels must be 0 or 1")
 
         self.zero_grad()
-        probs, star_probs = self._forward(np.stack(images), rng)
+        probs, star_probs = self._forward(batch, rng)
         loss_a = bce_loss_mean(probs, labels)
         if star_probs is None:
             total, loss_b_val = loss_a, 0.0
@@ -151,11 +160,7 @@ class LfmModel:
 
     def score(self, image: np.ndarray) -> float:
         """Deterministic fake-probability for one (3, H, W) image."""
-        image = np.asarray(image, dtype=np.float64)
-        if image.ndim != 3:
-            raise ShapeError(f"score expects one 3xHxW image, got rank {image.ndim}")
-        _check_finite(image, "image")
-        probs, _ = self._forward(image[None], None)
+        probs, _ = self._forward(_batch([image]), None)
         return probs.data.reshape(-1)[0]
 
     def infer(self, image: np.ndarray) -> tuple[float, int]:

@@ -7,9 +7,10 @@ float64 roundoff; BLAS may block the larger matmul differently) and
 exists for speed: one im2col matmul per layer instead of N.
 
 ``maxpool2d`` is a running maximum over k*k strided tap views, tap
-(i, j) holding element (i, j) of every window. Its backward gives each
-gradient to the first tap, in row-major order, that equals the maximum,
-and adds it into that tap's slice; a slice never repeats a position.
+(i, j) holding element (i, j) of every window. The windows tile the
+input, so every position lies in at most one tap; the backward makes one
+pass over the taps and assigns each window's gradient into the slice of
+the first tap, in row-major order, that equals the maximum.
 """
 
 from __future__ import annotations
@@ -94,14 +95,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
 
 
 def maxpool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
-    """Max over k x k windows; ties resolve to the first element in
-    row-major window order (numpy argmax convention). Gradient routes
-    to each window's winner and accumulates across overlapping windows.
+    """Max over the k x k windows that tile ``x`` (``stride`` must equal
+    ``k``; a trailing row or column that fills no window is dropped).
+    Ties resolve to the first element in row-major window order (numpy
+    argmax convention), and the gradient routes to each window's winner.
     """
     if k < 1:
         raise ConfigError(f"maxpool2d window must be >= 1, got {k}")
-    if stride < 1:
-        raise ConfigError(f"maxpool2d stride must be >= 1, got {stride}")
+    if stride != k:
+        raise ConfigError(f"maxpool2d windows must tile: stride {stride} != window {k}")
     xd, squeeze = _as_batch(x.data, "maxpool2d input")
     n, c, h, w = xd.shape
     if h < k:
@@ -109,27 +111,20 @@ def maxpool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
     if w < k:
         raise ShapeError(f"maxpool2d width axis too small: extent {w} < window {k}")
 
-    ho = (h - k) // stride + 1
-    wo = (w - k) // stride + 1
-    taps = [np.s_[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
-            for i in range(k) for j in range(k)]
+    ho, wo = h // k, w // k
+    taps = [np.s_[:, :, i:k * ho:k, j:k * wo:k] for i in range(k) for j in range(k)]
     pooled = xd[taps[0]].copy()
     for tap in taps[1:]:
         np.maximum(pooled, xd[tap], out=pooled)
 
     def backward():
         g = out.grad if not squeeze else out.grad[None]
-        taken = np.zeros(pooled.shape, dtype=bool)
-        hits = []
-        for tap in taps:
-            hit = (xd[tap] == pooled) & ~taken
-            taken |= hit
-            hits.append(hit)
         dx = np.zeros_like(xd)
-        # Reversed tap order adds the gradients of overlapping windows
-        # in row-major window order.
-        for tap, hit in zip(reversed(taps), reversed(hits)):
-            dx[tap] += np.where(hit, g, 0.0)
+        free = np.ones(pooled.shape, dtype=bool)
+        for tap in taps:
+            hit = (xd[tap] == pooled) & free
+            np.copyto(dx[tap], g, where=hit)
+            free ^= hit
         x._accumulate(dx[0] if squeeze else dx)
 
     out = Tensor._wrap(pooled[0] if squeeze else pooled, (x,), backward)

@@ -179,19 +179,8 @@ def gap_pool(x: Tensor) -> Tensor:
 def gmp_pool(x: Tensor) -> Tensor:
     """Differentiable batched global max pooling: (N,C,H,W) -> (N,C).
 
-    Ties route the gradient to the first maximum in row-major order.
+    The top-1 vector of :func:`tkp_pool`, so ties follow its (value,
+    position) order: the gradient goes to the last maximum in row-major
+    order.
     """
-    if x.data.ndim != 4:
-        raise ShapeError(f"gmp_pool input must be NxCxHxW, got rank {x.data.ndim}")
-    n, c, h, w = x.data.shape
-    flat = x.data.reshape(n, c, h * w)
-    arg = flat.argmax(axis=2)
-    out_data = np.take_along_axis(flat, arg[..., None], axis=2)[..., 0]
-
-    def backward():
-        dx = np.zeros_like(flat)
-        np.put_along_axis(dx, arg[..., None], out.grad[..., None], axis=2)
-        x._accumulate(dx.reshape(x.data.shape))
-
-    out = Tensor._wrap(out_data, (x,), backward)
-    return out
+    return tkp_pool(x, TkpConfig(k=1))[0]

@@ -94,20 +94,8 @@ def output_shape(cfg: SNetConfig, h: int, w: int) -> tuple[int, int, int]:
         if i in cfg.pool_after:
             if h < 2 or w < 2:
                 raise ShapeError(f"pool after conv layer {i} needs input >= 2x2, got {h}x{w}")
-            h, w = (h - 2) // 2 + 1, (w - 2) // 2 + 1
+            h, w = h // 2, w // 2
     return OUT_CHANNELS, h, w
-
-
-def receptive_field(cfg: SNetConfig) -> int:
-    """Side length of one output unit's input footprint, computed
-    analytically from kernel sizes and strides."""
-    rf, jump = 1, 1
-    for i, k in enumerate(cfg.kernel_sizes(), start=1):
-        rf += (k - 1) * jump
-        if i in cfg.pool_after:
-            rf += (2 - 1) * jump
-            jump *= 2
-    return rf
 
 
 class SNet:

@@ -9,10 +9,11 @@ import sys
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from localfocus import (NprConfig, ParseError, SNetConfig, TkpConfig,
-                        TrainConfig, read_manifest)
+                        TrainConfig, read_manifest, save_ppm)
 from localfocus.cli import _TRAIN_FIELDS, main, read_config_file
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -138,6 +139,25 @@ class TestExitCodes:
         rc = main(["train", "--manifest", str(tmp_path / "nope.tsv"),
                    "--out", str(tmp_path / "r")])
         assert rc == 2
+
+    def test_mixed_image_sizes_is_exit_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        for name, size in (("a.ppm", 64), ("b.ppm", 66)):
+            save_ppm(rng.random((3, size, size)), str(tmp_path / name))
+        (tmp_path / "m.tsv").write_text("a.ppm\t0\treal\nb.ppm\t1\tfake\n")
+        rc = main(["train", "--manifest", str(tmp_path / "m.tsv"),
+                   "--out", str(tmp_path / "r")] + TINY_MODEL_FLAGS)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "has shape" in err and "(3, 66, 66)" in err
+        assert "Traceback" not in err
+
+    def test_settings_checked_before_manifest_is_read(self, tmp_path, capsys):
+        (tmp_path / "m.tsv").write_text("missing.ppm\t0\treal\n")
+        rc = main(["train", "--manifest", str(tmp_path / "m.tsv"),
+                   "--out", str(tmp_path / "r"), "--k", "0"])
+        assert rc == 2
+        assert "tkp k must be >= 1" in capsys.readouterr().err
 
     def test_overlong_ppm_integer_is_exit_2(self, workspace, tmp_path, capsys):
         image = tmp_path / "wide.ppm"

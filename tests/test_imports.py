@@ -1,8 +1,12 @@
-"""Source hygiene: every module uses each name it imports.
+"""Source hygiene: every module uses each name it imports, and the
+package reads or exports every name a module defines.
 
-A stdlib-only stand-in for a linter's unused-import rule. ``__init__.py``
-is exempt (its imports are the package's re-exports), and so are
-``from __future__`` imports.
+A stdlib-only stand-in for a linter's unused-import and dead-code
+rules. For imports, ``__init__.py`` is exempt (its imports are the
+package's re-exports), and so are ``from __future__`` imports. For
+definitions, a module-level constant, function or class counts as used
+when any module of the package reads it or ``__all__`` exports it;
+dunder names such as ``__version__`` are exempt.
 """
 
 import ast
@@ -12,8 +16,8 @@ import pytest
 
 import localfocus
 
-SOURCES = sorted(p for p in Path(localfocus.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted(Path(localfocus.__file__).parent.glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,11 +36,45 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def unread_definitions(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """Module-level names defined in ``sources`` (module name -> text)
+    that no module reads and ``exported`` does not hold."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = {node.id for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            unread += [f"{module}:{node.lineno}: {name}" for name in names
+                       if not (name.startswith("__") and name.endswith("__"))
+                       and name not in read and name not in exported]
+    return unread
+
+
 def test_checker_flags_an_unused_name():
     src = "from __future__ import annotations\nimport os\nfrom a.b import c, d as e\nprint(e)\n"
     assert unused_imports(src) == ["line 2: os", "line 3: c"]
 
 
+def test_checker_flags_an_unread_definition():
+    sources = {"a": "LIMIT = 3\nUSED = 1\ndef f():\n    return USED\nclass C:\n    pass\n",
+               "b": "__version__ = '1'\nfrom .a import f\nf()\nclass D:\n    pass\n"}
+    assert unread_definitions(sources, exported={"C"}) == ["a:1: LIMIT", "b:4: D"]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_definition_is_read_or_exported():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unread_definitions(sources, set(localfocus.__all__)) == []

@@ -135,8 +135,16 @@ class TestForwardTrain:
         model = tiny_model()
         images, labels = tiny_batch(n=3)
         images[2][1, 4, 7] = bad
-        with pytest.raises(DomainError, match=r"batch image 2 .*\(1, 4, 7\)"):
+        with pytest.raises(DomainError, match=r"image 2 has a non-finite pixel .*\(1, 4, 7\)"):
             model.forward_train(images, labels, np.random.default_rng(0))
+        assert all(p.grad is None for p in model.parameters())
+
+    def test_mixed_image_sizes_rejected(self):
+        model = tiny_model()
+        rng = np.random.default_rng(0)
+        images = [rng.random((3, 64, 64)), rng.random((3, 66, 66))]
+        with pytest.raises(ShapeError, match=r"image 1 has shape \(3, 66, 66\).*\(3, 64, 64\)"):
+            model.forward_train(images, [0, 1], rng)
         assert all(p.grad is None for p in model.parameters())
 
     def test_count_mismatch(self):
@@ -226,7 +234,7 @@ class TestInference:
         img = tiny_batch(n=1)[0][0]
         img[0, 0, 3] = bad
         for call in (tiny_model().score, tiny_model().infer):
-            with pytest.raises(DomainError, match=r"image has a non-finite pixel .*\(0, 0, 3\)"):
+            with pytest.raises(DomainError, match=r"image 0 has a non-finite pixel .*\(0, 0, 3\)"):
                 call(img)
 
     def test_training_does_not_change_inference_path(self):

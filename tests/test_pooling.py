@@ -318,13 +318,15 @@ class TestGraphWrappers:
         gap_pool(x).backward(np.ones((2, 3)))
         np.testing.assert_allclose(x.grad, np.full_like(xs, 1.0 / 16.0))
 
-    def test_gmp_values_and_grad_first_max(self):
+    def test_gmp_values_and_grad_last_max(self):
+        # gmp is tkp's top-1: ties rank by (value, position), so the
+        # gradient goes to the last maximum in row-major order.
         xs = np.zeros((1, 1, 2, 2))
         xs[0, 0] = [[3.0, 3.0], [1.0, 0.0]]
         np.testing.assert_array_equal(gmp_pool(Tensor(xs)).data[0], [3.0])
         x = Tensor(xs, requires_grad=True)
         gmp_pool(x).backward(np.ones((1, 1)))
-        np.testing.assert_array_equal(x.grad[0, 0], [[1.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(x.grad[0, 0], [[0.0, 1.0], [0.0, 0.0]])
 
     def test_rank_checks(self):
         with pytest.raises(ShapeError):

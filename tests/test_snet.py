@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from localfocus import (ConfigError, ShapeError, SNet, SNetConfig, Tensor,
-                        output_shape, receptive_field, snet_param_count)
+                        output_shape, snet_param_count)
 
 
 def walk_shapes(cfg: SNetConfig, h: int, w: int) -> list[tuple[int, int]]:
@@ -105,23 +105,6 @@ class TestParamCount:
 
 
 class TestReceptiveField:
-    def test_default_ordering(self):
-        # conv2-pool-conv2-pool-conv2-pool-conv2-conv1 grows 1,1 | 2,2 | 4,4 | 8 | 0
-        assert receptive_field(SNetConfig()) == 23
-
-    def test_no_pools_is_sum_of_kernel_growth(self):
-        # Stride-1 convs only: rf = 1 + sum(k_i - 1) = 1 + 1 + 1 + 0 = 3.
-        cfg = SNetConfig(num_conv_layers=3, channel_plan=(8, 8, 64), pool_after=frozenset())
-        assert receptive_field(cfg) == 3
-
-    def test_small_cases_by_hand(self):
-        # Single 2x2 conv then 1x1: rf 2.
-        cfg = SNetConfig(num_conv_layers=2, channel_plan=(8, 64), pool_after=frozenset())
-        assert receptive_field(cfg) == 2
-        # 2x2 conv, 2x2 pool, 1x1 conv: rf 3.
-        cfg = SNetConfig(num_conv_layers=2, channel_plan=(8, 64), pool_after=frozenset({1}))
-        assert receptive_field(cfg) == 3
-
     def test_output_is_locally_determined(self):
         # Changing one input pixel far from an output unit's footprint
         # must not change that unit.
