@@ -77,14 +77,11 @@ def _format_value(value, parse) -> str:
     return str(value)
 
 
-def read_config_file(path: str) -> dict[str, str]:
-    """Parse ``key = value`` lines; blank lines and ``#`` comments skipped."""
-    entries: dict[str, str] = {}
-    try:
-        lines = list(read_lines(path))
-    except OSError as e:
-        raise ParseError(f"cannot read config file {path!r}: {e.strerror}") from None
-    for lineno, offset, line in lines:
+def read_config_file(path: str) -> dict[str, tuple[str, int]]:
+    """Parse ``key = value`` lines into key -> (value, byte offset of its
+    line); blank lines and ``#`` comments skipped."""
+    entries: dict[str, tuple[str, int]] = {}
+    for lineno, offset, line in read_lines(path):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -96,7 +93,7 @@ def read_config_file(path: str) -> dict[str, str]:
             raise ParseError(f"{path}:{lineno}: empty key", offset=offset)
         if key in entries:
             raise ParseError(f"{path}:{lineno}: duplicate key {key!r}", offset=offset)
-        entries[key] = val
+        entries[key] = (val, offset)
     return entries
 
 
@@ -116,19 +113,20 @@ def _add_arguments(parser: argparse.ArgumentParser, fields: list[Field]) -> None
 def _merge(fields: list[Field], ns: argparse.Namespace, prog: str) -> dict:
     file_cfg = read_config_file(ns.config) if ns.config else {}
     known = {f.name for f in fields}
-    unknown = sorted(set(file_cfg) - known)
-    if unknown:
-        raise ParseError(f"unknown config key {unknown[0]!r} (valid keys: {', '.join(sorted(known))})")
+    for key, (_, offset) in file_cfg.items():
+        if key not in known:
+            raise ParseError(f"unknown config key {key!r} (valid keys: {', '.join(sorted(known))})",
+                             offset=offset)
     resolved = {}
     for f in fields:
         value = getattr(ns, f.name)
         if value is None and f.name in file_cfg:
-            raw = file_cfg[f.name]
+            raw, offset = file_cfg[f.name]
             try:
                 value = f.parse(raw)
             except ValueError:
                 raise ParseError(f"config key {f.name!r}: cannot parse {raw!r} as "
-                                 f"{f.parse.__name__.lstrip('_')}") from None
+                                 f"{f.parse.__name__.lstrip('_')}", offset=offset) from None
         if value is None:
             value = f.default
         if f.required and value is None:

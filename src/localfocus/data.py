@@ -167,7 +167,8 @@ def write_manifest(manifest: DatasetManifest, path: str) -> None:
 
 def read_lines(path: str) -> Iterator[tuple[int, int, str]]:
     """Yield (line number, byte offset, text without its LF/CRLF/CR) for each
-    line of a UTF-8 file; a byte that is not UTF-8 raises ParseError at its offset."""
+    line of a UTF-8 file; a byte that is not UTF-8, or a NUL byte, which no
+    path can hold, raises ParseError at its offset."""
     with open(path, "rb") as fh:
         raw = fh.read()
     offset = 0
@@ -176,6 +177,8 @@ def read_lines(path: str) -> Iterator[tuple[int, int, str]]:
             text = line.decode("utf-8")
         except UnicodeDecodeError as e:
             raise ParseError(f"{path}:{lineno}: invalid UTF-8", offset=offset + e.start) from None
+        if b"\0" in line:
+            raise ParseError(f"{path}:{lineno}: NUL byte", offset=offset + line.index(b"\0"))
         yield lineno, offset, text.rstrip("\r\n")
         offset += len(line)
 

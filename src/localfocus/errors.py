@@ -22,13 +22,11 @@ class ParseError(ValueError):
     """A file or byte stream is malformed.
 
     ``offset`` is the byte offset where parsing failed; for line-based
-    formats, the start of the offending line or the undecodable byte.
+    formats, the start of the offending line or the undecodable or NUL byte.
     """
 
-    def __init__(self, message: str, offset: int | None = None):
-        if offset is not None:
-            message = f"{message} (at byte {offset})"
-        super().__init__(message)
+    def __init__(self, message: str, offset: int):
+        super().__init__(f"{message} (at byte {offset})")
         self.offset = offset
 
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from localfocus import (DomainError, LfmModel, NprConfig, ParseError, SNetConfig,
-                        TkpConfig, load_checkpoint, save_checkpoint)
+                        TkpConfig, load_checkpoint, save_checkpoint,
+                        total_param_count)
 from localfocus.checkpoint import MAGIC, VERSION, _config_payload
 
 
@@ -93,9 +94,10 @@ class TestCorruption:
 
     def test_bad_version(self, tmp_path):
         _, blob = save_bytes(odd_model(), tmp_path)
-        # Version 1 (activation byte, no parameter checksum) and version 2
-        # (residual grid pitch and anchor, conv-bias byte) are refused too.
-        for version in (99, 1, 2):
+        # Version 1 (activation byte, no parameter checksum), version 2
+        # (residual grid pitch and anchor, conv-bias byte) and version 3
+        # (layer count, array count and per-array shapes) are refused too.
+        for version in (99, 1, 2, 3):
             path = self._write(tmp_path, blob[:4] + version.to_bytes(4, "little") + blob[8:])
             with pytest.raises(ParseError, match="version") as exc:
                 load_checkpoint(path)
@@ -122,18 +124,6 @@ class TestCorruption:
         _, blob = save_bytes(odd_model(), tmp_path)
         path = self._write(tmp_path, blob + b"\x00")
         with pytest.raises(ParseError, match="trailing"):
-            load_checkpoint(path)
-
-    def test_array_shape_mismatch(self, tmp_path):
-        _, blob = save_bytes(odd_model(), tmp_path)
-        # The file ends with the head bias: rank, one dim (=1), one f32.
-        # Rewriting that dim to 2 must be rejected as a shape mismatch.
-        tampered = bytearray(blob)
-        dim_at = len(blob) - 8
-        assert tampered[dim_at:dim_at + 4] == (1).to_bytes(4, "little")
-        tampered[dim_at:dim_at + 4] = (2).to_bytes(4, "little")
-        path = self._write(tmp_path, bytes(tampered))
-        with pytest.raises(ParseError, match="shaped"):
             load_checkpoint(path)
 
     def test_payload_tamper_trips_checksum(self, tmp_path):
@@ -202,12 +192,30 @@ class TestCorruption:
             tracemalloc.stop()
         assert peak < 10 * 2**20
 
-    # odd_model's header: take_abs at 8, layer count and plan length at 9,
-    # the plan (8, 16, 64) at 17, the pool plan at 29, the pooling code at
-    # 37 and k = 3 at 38.
+    @pytest.mark.parametrize("extra", [-4, 4], ids=["one-short", "one-long"])
+    def test_payload_length_checked_before_allocating(self, tmp_path, monkeypatch, extra):
+        # One float32 value too few is reported where the data ends, one too
+        # many at the first extra byte, and neither builds the model.
+        model = odd_model()
+        _, blob = save_bytes(model, tmp_path)
+        path = self._write(tmp_path, blob[:extra] if extra < 0 else blob + bytes(extra))
+
+        def no_model(**kwargs):
+            raise AssertionError("model allocated before the payload length was checked")
+
+        monkeypatch.setattr("localfocus.checkpoint.LfmModel", no_model)
+        message = (f"truncated: header describes {total_param_count(model)} parameters"
+                   if extra < 0 else "trailing bytes after the last parameter: 4")
+        with pytest.raises(ParseError, match=message) as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == len(blob) + min(extra, 0)
+
+    # odd_model's header: take_abs at 8, the plan length at 9, the plan
+    # (8, 16, 64) at 13, the pool plan length at 25 and its entry at 29,
+    # the pooling code at 33 and k = 3 at 34.
     @pytest.mark.parametrize("field_at, stored, value, message", [
-        (38, 3, 0, "tkp k must be >= 1, got 0"),
-        (25, 64, 32, "channel_plan must end in 64, got 32"),
+        (34, 3, 0, "tkp k must be >= 1, got 0"),
+        (21, 64, 32, "channel_plan must end in 64, got 32"),
     ], ids=["k=0", "plan-not-ending-in-64"])
     def test_out_of_range_header_value(self, tmp_path, field_at, stored, value, message):
         model = odd_model()
@@ -220,4 +228,4 @@ class TestCorruption:
 
     def test_format_constants(self):
         assert MAGIC == b"LFM1"
-        assert VERSION == 3
+        assert VERSION == 4

@@ -58,9 +58,9 @@ class TestEndToEnd:
         curve = open(os.path.join(run, "loss_curve.tsv")).read().splitlines()
         assert len(curve) == 2  # one line per epoch
         cfg = read_config_file(os.path.join(run, "config_used.cfg"))
-        assert cfg["epochs"] == "2"
-        assert cfg["channel_plan"] == "8,16,64"
-        assert cfg["rbld"] == "true" and cfg["rks"] == "true"
+        assert cfg["epochs"][0] == "2"
+        assert cfg["channel_plan"][0] == "8,16,64"
+        assert cfg["rbld"][0] == "true" and cfg["rks"][0] == "true"
 
     def test_eval_writes_json_report(self, workspace, tmp_path, capsys):
         out = str(tmp_path / "report.json")
@@ -109,7 +109,7 @@ class TestEndToEnd:
         assert rc == 0
         out = capsys.readouterr().out
         assert "epoch 0: loss" in out and "epoch 1:" not in out
-        assert read_config_file(os.path.join(run_c, "config_used.cfg"))["epochs"] == "1"
+        assert read_config_file(os.path.join(run_c, "config_used.cfg"))["epochs"][0] == "1"
 
 
 class TestExitCodes:
@@ -212,6 +212,34 @@ class TestExitCodes:
         rc = main(["train", "--config", str(cfg), "--manifest", "m", "--out", "o"])
         assert rc == 2
         assert "cannot parse 'soon' as int" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("epochz = 3", "unknown config key 'epochz' (valid keys: "),
+        ("epochs = soon", "config key 'epochs': cannot parse 'soon' as int"),
+    ], ids=["unknown-key", "bad-value"])
+    def test_config_key_error_carries_line_offset(self, tmp_path, line, message, capsys):
+        # The third line starts at byte 25.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"seed = 3\nbatch_size = 16\n{line}\n")
+        rc = main(["train", "--config", str(cfg), "--manifest", "m", "--out", "o"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and err.endswith("(at byte 25)\n")
+
+    def test_missing_config_file_is_exit_2(self, tmp_path, capsys):
+        rc = main(["train", "--config", str(tmp_path / "nope.cfg"), "--manifest", "m", "--out", "o"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("localfocus: error:") and "nope.cfg" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_nul_in_config_path_is_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed = 1\nmanifest = m\0.tsv\n")
+        rc = main(["train", "--config", str(cfg), "--out", "o"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "NUL byte" in err and "(at byte 21)" in err and "Traceback" not in err
 
     def test_config_file_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

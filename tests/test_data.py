@@ -190,3 +190,11 @@ class TestManifest:
         with pytest.raises(ParseError, match="UTF-8") as exc:
             read_manifest(str(path))
         assert exc.value.offset == 11
+
+    def test_nul_byte_is_a_parse_error_at_its_byte(self, tmp_path):
+        # open() refuses a path holding NUL with a bare ValueError.
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"a.ppm\t0\tt\nb\0.ppm\t1\tt\n")
+        with pytest.raises(ParseError, match="NUL byte") as exc:
+            read_manifest(str(path))
+        assert exc.value.offset == 11
