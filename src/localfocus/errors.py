@@ -31,4 +31,12 @@ class ParseError(ValueError):
 
 
 class StateError(RuntimeError):
-    """An operation was called in an order its contract forbids."""
+    """An operation was called in an order its contract forbids.
+
+    ``index`` is the position of the offending item in its list (say, the
+    parameter whose gradient is missing or non-finite).
+    """
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index

@@ -11,6 +11,7 @@ three numbers and the decomposition is exact by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ from .errors import ConfigError, DomainError, ShapeError
 from .npr import NprConfig, npr_extract
 from .ops import bce_loss_mean, linear
 from .pooling import TkpConfig, gap_pool, gmp_pool, tkp_pool
-from .snet import OUT_CHANNELS, SNet, SNetConfig
+from .snet import OUT_CHANNELS, SNet, SNetConfig, output_shape
 from .tensor import Tensor
 
 POOLING_VARIANTS = ("tkp", "gap", "gmp")
@@ -105,9 +106,34 @@ class LfmModel:
         weight/bias pairs, then head weight, then head bias)."""
         return self.snet.parameters() + [self.fc_weight, self.fc_bias]
 
+    def parameter_names(self) -> list[str]:
+        """Names in :meth:`parameters` order: conv1.weight, conv1.bias, ...,
+        head.weight, head.bias."""
+        layers = [f"conv{i}" for i in range(1, len(self.snet.layers) + 1)] + ["head"]
+        return [f"{layer}.{kind}" for layer in layers for kind in ("weight", "bias")]
+
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()
+
+    def check_input_size(self, h: int, w: int) -> None:
+        """Refuse an h x w input whose final maps hold fewer cells than the
+        pooling reads (k under top-k, else 1), naming the smallest even
+        square side this model scores."""
+        need = self.tkp_cfg.k if self.pooling == "tkp" else 1
+        try:
+            _, ho, wo = output_shape(self.snet_cfg, h, w)
+            if ho * wo >= need:
+                return
+        except ShapeError:
+            pass
+        # Invert the stack on a square: a 2x2 pool needs twice its output
+        # side, a k x k conv k - 1 more; NPR needs an even side.
+        side = math.isqrt(need - 1) + 1
+        for i, k in reversed(list(enumerate(self.snet_cfg.kernel_sizes(), start=1))):
+            side = side * (2 if i in self.snet_cfg.pool_after else 1) + k - 1
+        raise ShapeError(f"a {h}x{w} input is too small for this model; "
+                         f"the smallest side it scores is {side + side % 2}")
 
     # -- forward paths ----------------------------------------------------------
 
@@ -116,6 +142,7 @@ class LfmModel:
         """npr -> snet -> pool -> head over an (N, 3, H, W) batch: the (N, 1)
         top-k probabilities and, when random-k sampling ran, the random-sample
         probabilities (else None)."""
+        self.check_input_size(*batch.shape[-2:])
         maps = self.snet.forward(npr_extract(Tensor(batch), self.npr_cfg))
         if self.pooling == "tkp":
             vec, star, _ = tkp_pool(maps, self.tkp_cfg, rng)

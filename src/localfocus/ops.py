@@ -6,6 +6,15 @@ computes the same arithmetic as looping the single-image path (equal to
 float64 roundoff; BLAS may block the larger matmul differently) and
 exists for speed: one im2col matmul per layer instead of N.
 
+``conv2d`` works channels-last (NHWC, PyTorch's "channels_last"): it
+copies each k x k window of the NHWC view of its input into one im2col
+row (Chellapilla et al. 2006) in (kh, kw, cin) order, so every tap copies
+contiguous channel runs, and multiplies by the weight reordered to
+(kh*kw*cin, cout). The (n*ho*wo, cout) product is NHWC memory; it is
+returned as an NCHW-shaped view without a copy, and the next layer's
+NHWC view of it is contiguous again. Shapes seen from outside stay NCHW.
+``maxpool2d`` and the elementwise ops keep whatever layout they are given.
+
 ``maxpool2d`` is a running maximum over k*k strided tap views, tap
 (i, j) holding element (i, j) of every window. The windows tile the
 input, so every position lies in at most one tap; the backward makes one
@@ -62,35 +71,37 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
     if wp < kw:
         raise ShapeError(f"conv2d width axis too small: padded extent {wp} < kernel {kw}")
 
-    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else xd
+    xh = xd.transpose(0, 2, 3, 1)
+    xp = np.pad(xh, ((0, 0), (padding, padding), (padding, padding), (0, 0))) if padding else xh
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # (n, ho, wo, cin, kh, kw) -> one row per output pixel
-    col = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, cin * kh * kw)
-    wmat = weight.data.reshape(cout, cin * kh * kw)
-    flat = col @ wmat.T + bias.data
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    # (n, ho, wo, cin, kh, kw) -> one (kh, kw, cin) row per output pixel
+    col = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(n * ho * wo, kh * kw * cin)
+    wmat = weight.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
+    flat = col @ wmat.T
+    flat += bias.data
     out_data = flat.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
     if squeeze:
         out_data = out_data[0]
 
     def backward():
         g = out.grad if not squeeze else out.grad[None]
-        gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, cout)
+        gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, cout)
         if bias.requires_grad:
             bias._accumulate(gmat.sum(axis=0))
         if weight.requires_grad:
-            weight._accumulate((gmat.T @ col).reshape(weight.data.shape))
+            weight._accumulate((gmat.T @ col).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
         if x.requires_grad:
-            dcol = (gmat @ wmat).reshape(n, ho, wo, cin, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-            dxp = np.zeros((n, cin, hp, wp))
+            dcol = (gmat @ wmat).reshape(n, ho, wo, kh, kw, cin)
+            dxp = np.zeros((n, hp, wp, cin))
             for i in range(kh):
                 for j in range(kw):
-                    dxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcol[:, :, i, j]
-            dx = dxp[:, :, padding:padding + h, padding:padding + w] if padding else dxp
+                    dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcol[:, :, :, i, j]
+            dx = dxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
             x._accumulate(dx[0] if squeeze else dx)
 
-    out = Tensor._wrap(np.ascontiguousarray(out_data), (x, weight, bias), backward)
+    out = Tensor._wrap(out_data, (x, weight, bias), backward)
     return out
 
 
@@ -113,14 +124,14 @@ def maxpool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
 
     ho, wo = h // k, w // k
     taps = [np.s_[:, :, i:k * ho:k, j:k * wo:k] for i in range(k) for j in range(k)]
-    pooled = xd[taps[0]].copy()
+    pooled = xd[taps[0]].copy(order="K")
     for tap in taps[1:]:
         np.maximum(pooled, xd[tap], out=pooled)
 
     def backward():
         g = out.grad if not squeeze else out.grad[None]
         dx = np.zeros_like(xd)
-        free = np.ones(pooled.shape, dtype=bool)
+        free = np.ones_like(pooled, dtype=bool)
         for tap in taps:
             hit = (xd[tap] == pooled) & free
             np.copyto(dx[tap], g, where=hit)

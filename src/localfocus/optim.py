@@ -47,13 +47,13 @@ class Adam:
         no parameter, moment or ``t``."""
         for i, p in enumerate(self.params):
             if p.grad is None:
-                raise StateError(f"adam step called before backward populated gradient {i}")
+                raise StateError(f"adam step called before backward populated gradient {i}", i)
             if p.grad.shape != p.data.shape:
                 raise ConfigError(f"adam gradient {i} shaped {p.grad.shape} != parameter {p.data.shape}")
             if not np.isfinite(p.grad).all():
                 bad = int(np.flatnonzero(~np.isfinite(p.grad))[0])
                 raise StateError(f"adam gradient {i} holds a non-finite value "
-                                 f"{p.grad.flat[bad]} at element {bad}")
+                                 f"{p.grad.flat[bad]} at element {bad}", i)
         self.t += 1
         for i, p in enumerate(self.params):
             self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * p.grad

@@ -4,7 +4,14 @@ Stage order for the default five-layer config (2x2 kernels everywhere
 except the final 1x1 projection, 2x2/stride-2 max-pools after the first
 three convs, ReLU after every conv except the last):
 
-    conv1 -> pool -> conv2 -> pool -> conv3 -> pool -> conv4 -> conv5(1x1)
+    conv1 -> pool -> relu -> conv2 -> pool -> relu -> conv3 -> pool -> relu
+          -> conv4 -> relu -> conv5(1x1)
+
+Pooling before the ReLU is exact, bit for bit, and runs the ReLU on a
+quarter of the elements: ReLU is monotone, so relu(max(w)) = max(relu(w))
+for every window w, and in either order a window whose maximum is <= 0
+yields 0 and passes no gradient, while any other window passes its
+gradient to the same winner.
 
 The output always has 64 channels; spatial size follows conv/pool floor
 arithmetic (64x64 input -> 6x6, 256x256 -> 30x30). Deliberately small:
@@ -124,8 +131,8 @@ class SNet:
         n_layers = self.cfg.num_conv_layers
         for i, (w, b) in enumerate(self.layers, start=1):
             x = conv2d(x, w, b)
-            if i < n_layers:
-                x = x.relu()
             if i in self.cfg.pool_after:
                 x = maxpool2d(x, k=2, stride=2)
+            if i < n_layers:
+                x = x.relu()
         return x

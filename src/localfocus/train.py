@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import SampleRecord
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, StateError
 from .metrics import EvalReport, accuracy, average_precision
 from .model import POOLING_VARIANTS, LfmModel, total_param_count
 from .optim import Adam
@@ -83,6 +83,8 @@ def train(model: LfmModel, dataset: list[SampleRecord], cfg: TrainConfig) -> Tra
     labels_present = {rec.label for rec in dataset}
     if labels_present != {0, 1}:
         raise ConfigError(f"train needs both classes present, got labels {sorted(labels_present)}")
+    for h, w in dict.fromkeys(rec.image.shape[-2:] for rec in dataset):
+        model.check_input_size(h, w)
 
     optimizer = Adam(model.parameters(), lr=cfg.lr)
     shuffle_rng = np.random.default_rng((cfg.seed, _SHUFFLE_TAG))
@@ -101,7 +103,11 @@ def train(model: LfmModel, dataset: list[SampleRecord], cfg: TrainConfig) -> Tra
             labels = [dataset[i].label for i in idx]
             step_rng = np.random.default_rng((cfg.seed, _STEP_TAG, epoch, step))
             _, _, report = model.forward_train(images, labels, step_rng)
-            optimizer.step()
+            try:
+                optimizer.step()
+            except StateError as e:
+                raise StateError(f"epoch {epoch} step {step}, parameter "
+                                 f"{model.parameter_names()[e.index]}: {e}", e.index) from e
             loss_sum += report.total * len(idx)
         epoch_loss = loss_sum / n
         epoch_losses.append(epoch_loss)

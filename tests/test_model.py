@@ -48,6 +48,9 @@ class TestConstruction:
         # conv w/b pairs in depth order, then the head.
         assert shapes[0] == (8, 3, 2, 2) and shapes[1] == (8,)
         assert shapes[-2] == (1, 128) and shapes[-1] == (1,)
+        assert model.parameter_names() == [f"{layer}.{kind}" for layer in
+                                           ("conv1", "conv2", "conv3", "conv4", "head")
+                                           for kind in ("weight", "bias")]
 
 
 class TestParamCount:
@@ -228,6 +231,18 @@ class TestInference:
     def test_score_requires_single_image(self):
         with pytest.raises(ShapeError):
             tiny_model().score(np.zeros((2, 3, 16, 16)))
+
+    @pytest.mark.parametrize("model,smallest", [
+        (LfmModel(), 48), (LfmModel(pooling="gap"), 24), (tiny_model(k=2), 24), (tiny_model(k=5), 32),
+    ], ids=["tkp", "gap", "tiny-k2", "tiny-k5"])
+    def test_too_small_input_names_the_smallest_side(self, model, smallest):
+        model.score(np.zeros((3, smallest, smallest)))
+        side = smallest - 2
+        with pytest.raises(ShapeError, match=rf"a {side}x{side} input is too small for this model; "
+                                             rf"the smallest side it scores is {smallest}$"):
+            model.score(np.zeros((3, side, side)))
+        with pytest.raises(ShapeError, match=rf"smallest side it scores is {smallest}$"):
+            model.forward_train([np.zeros((3, side, side))] * 2, [0, 1], np.random.default_rng(0))
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_image_rejected(self, bad):

@@ -134,6 +134,35 @@ class TestConv2d:
         assert check_gradient(f_of("b"), b0, b.grad) < 1e-4
 
 
+    @pytest.mark.parametrize("shape,stride,padding", [
+        ((2, 3, 7, 6), 1, 0), ((2, 3, 7, 6), 2, 1), ((3, 6, 5), 1, 1), ((3, 6, 5), 2, 0),
+    ])
+    def test_channels_last_input_matches_contiguous(self, shape, stride, padding):
+        rng = np.random.default_rng(9)
+        x0 = rng.normal(size=shape)
+        lead = len(shape) - 3
+        perm = tuple(range(lead)) + (lead + 1, lead + 2, lead)
+        x_cl = np.ascontiguousarray(x0.transpose(perm)).transpose(np.argsort(perm))
+        assert not x_cl.flags.c_contiguous and np.array_equal(x_cl, x0)
+        w0, b0 = rng.normal(size=(4, shape[-3], 2, 2)), rng.normal(size=4)
+        results = []
+        for xd in (x0, x_cl):
+            x, w, b = (Tensor(a, requires_grad=True) for a in (xd, w0, b0))
+            out = conv2d(x, w, b, stride=stride, padding=padding)
+            out.backward(np.random.default_rng(10).normal(size=out.shape))
+            results.append((out.data, x.grad, w.grad, b.grad))
+        for a, b in zip(*results):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_output_is_a_channels_last_view(self):
+        # conv -> pool -> relu hands NHWC memory on without a transpose copy.
+        rng = np.random.default_rng(11)
+        out = conv2d(Tensor(rng.normal(size=(2, 3, 9, 9))), Tensor(rng.normal(size=(5, 3, 2, 2))),
+                     Tensor(rng.normal(size=5)))
+        for t in (out, maxpool2d(out), maxpool2d(out).relu()):
+            assert t.data.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
 def oracle_maxpool2d(xd, g, k, stride):
     """Window-copy max-pool: argmax over each copied window (first max
     wins), then np.add.at scatters ``g`` to the winners. Returns the
@@ -215,6 +244,26 @@ class TestMaxPool2d:
             # is left to np.maximum, so the forward is not compared as bytes.
             np.testing.assert_array_equal(out.data, ref_out)
             assert x.grad.tobytes() == ref_dx.tobytes()
+
+
+    def test_pool_then_relu_matches_relu_then_pool(self):
+        # relu is monotone, so the SNet's pool -> relu order gives the same
+        # bits, forward and backward, as relu -> pool: windows whose maximum
+        # is exactly 0 or negative give 0 and pass no gradient either way.
+        # Such a window's zero gradient carries the upstream sign, at its
+        # winner, which differs between the orders; + 0.0 drops that sign.
+        rng = np.random.default_rng(12)
+        x0 = np.round(rng.normal(size=(3, 4, 10, 10))) + 0.0  # many zeros, no -0.0
+        x0[0, 0, :2, :2] = [[0.0, -1.0], [-2.0, 0.0]]
+        x0[0, 1, :2, :2] = [[-1.0, -3.0], [-2.0, -1.0]]
+        upstream = rng.normal(size=(3, 4, 5, 5))
+        results = []
+        for stages in ((maxpool2d, Tensor.relu), (Tensor.relu, maxpool2d)):
+            x = Tensor(x0, requires_grad=True)
+            out = stages[1](stages[0](x))
+            out.backward(upstream)
+            results.append((out.data.tobytes(), (x.grad + 0.0).tobytes()))
+        assert results[0] == results[1]
 
 
 class TestLinear:

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from localfocus import (ConfigError, DomainError, SNetConfig, TkpConfig,
+from localfocus import (ConfigError, DomainError, ShapeError, SNetConfig, StateError, TkpConfig,
                         TrainConfig, bench, build_model, evaluate, gen_fake,
                         gen_real, save_checkpoint, train)
 from localfocus.metrics import EvalReport
@@ -92,6 +92,23 @@ class TestTrain:
         blob_a = open(paths[0], "rb").read()
         blob_b = open(paths[1], "rb").read()
         assert blob_a == blob_b
+
+    def test_too_small_images_rejected_before_the_first_step(self, monkeypatch):
+        cfg = TrainConfig(batch_size=4)
+        model = build_model(cfg)
+        monkeypatch.setattr(model, "forward_train", lambda *a: pytest.fail("a step ran"))
+        data = tiny_dataset(2, size=48) + tiny_dataset(1, size=46)
+        with pytest.raises(ShapeError, match="46x46 input .* smallest side it scores is 48$"):
+            train(model, data, cfg)
+
+    def test_divergence_names_epoch_step_and_parameter(self):
+        cfg = TrainConfig(lr=1e300, batch_size=2, epochs=3, seed=5)
+        model = tiny_model(cfg)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                StateError, match=r"^epoch \d+ step \d+, parameter (conv\d|head)\.(weight|bias): "
+                                  r"adam gradient \d+ holds a non-finite value") as err:
+            train(model, tiny_dataset(2), cfg)
+        assert f"parameter {model.parameter_names()[err.value.index]}:" in str(err.value)
 
     def test_zero_lr_freezes_parameters(self):
         cfg = TrainConfig(lr=0.0, batch_size=4, epochs=1, seed=5)
