@@ -202,9 +202,11 @@ def _cmd_gen_data(opts: dict) -> int:
     for key in ("n_train", "n_test"):
         if opts[key] < 2 or opts[key] % 2 != 0:
             raise ConfigError(f"{key} must be an even count >= 2, got {opts[key]}")
+    seed, size = opts["seed"], opts["size"]
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     out_dir = opts["out"]
     os.makedirs(out_dir, exist_ok=True)
-    seed, size = opts["seed"], opts["size"]
 
     splits = []
     for split, total, tag in (("train", opts["n_train"], 10), ("test", opts["n_test"], 20)):

@@ -83,8 +83,10 @@ class LfmModel:
             raise ConfigError(f"unknown pooling variant {pooling!r}; supported: {POOLING_VARIANTS}")
         if not 0.0 <= decision_threshold <= 1.0:
             raise ConfigError(f"decision_threshold must lie in [0, 1], got {decision_threshold}")
-        if alpha < 0.0:
-            raise ConfigError(f"alpha must be >= 0, got {alpha}")
+        if not 0.0 <= alpha < math.inf:
+            raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         self.npr_cfg = npr_cfg or NprConfig()
         self.snet_cfg = snet_cfg or SNetConfig()
         self.tkp_cfg = tkp_cfg or TkpConfig()

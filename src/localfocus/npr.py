@@ -58,11 +58,7 @@ def npr_extract(image: Tensor, cfg: NprConfig = NprConfig()) -> Tensor:
     """
     if image.data.ndim not in (3, 4):
         raise ShapeError(f"npr_extract input must be CxHxW or NxCxHxW, got rank {image.data.ndim}")
-
-    def backward():
-        image._accumulate(_residual_backward(out.grad))
-
-    out = Tensor._wrap(_residual(image.data), (image,), backward)
+    out = Tensor._wrap(_residual(image.data), (image,), lambda g: (_residual_backward(g),))
     return out.abs() if cfg.take_abs else out
 
 

@@ -85,24 +85,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
     if squeeze:
         out_data = out_data[0]
 
-    def backward():
-        g = out.grad if not squeeze else out.grad[None]
-        gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, cout)
-        if bias.requires_grad:
-            bias._accumulate(gmat.sum(axis=0))
-        if weight.requires_grad:
-            weight._accumulate((gmat.T @ col).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
-        if x.requires_grad:
+    def vjp(g):
+        gmat = (g[None] if squeeze else g).transpose(0, 2, 3, 1).reshape(n * ho * wo, cout)
+        dx = None
+        if x.requires_grad:  # conv1 reads the residual, which needs none
             dcol = (gmat @ wmat).reshape(n, ho, wo, kh, kw, cin)
             dxp = np.zeros((n, hp, wp, cin))
             for i in range(kh):
                 for j in range(kw):
                     dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcol[:, :, :, i, j]
-            dx = dxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
-            x._accumulate(dx[0] if squeeze else dx)
+            dx = dxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2).reshape(x.data.shape)
+        return dx, (gmat.T @ col).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2), gmat.sum(axis=0)
 
-    out = Tensor._wrap(out_data, (x, weight, bias), backward)
-    return out
+    return Tensor._wrap(out_data, (x, weight, bias), vjp)
 
 
 def maxpool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
@@ -128,18 +123,16 @@ def maxpool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
     for tap in taps[1:]:
         np.maximum(pooled, xd[tap], out=pooled)
 
-    def backward():
-        g = out.grad if not squeeze else out.grad[None]
+    def vjp(g):
         dx = np.zeros_like(xd)
         free = np.ones_like(pooled, dtype=bool)
         for tap in taps:
             hit = (xd[tap] == pooled) & free
             np.copyto(dx[tap], g, where=hit)
             free ^= hit
-        x._accumulate(dx[0] if squeeze else dx)
+        return (dx.reshape(x.data.shape),)
 
-    out = Tensor._wrap(pooled[0] if squeeze else pooled, (x,), backward)
-    return out
+    return Tensor._wrap(pooled[0] if squeeze else pooled, (x,), vjp)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -157,18 +150,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"linear feature axis mismatch: input {xd.shape} vs weight (1, {nfeat})")
 
     out_data = (xd @ weight.data[0] + bias.data[0])[:, None]  # (B, 1)
-
-    def backward():
-        g = out.grad  # (B, 1)
-        if bias.requires_grad:
-            bias._accumulate(g.sum(axis=0))
-        if weight.requires_grad:
-            weight._accumulate(g.T @ xd)
-        if x.requires_grad:
-            x._accumulate(g @ weight.data)
-
-    out = Tensor._wrap(out_data, (x, weight, bias), backward)
-    return out
+    return Tensor._wrap(out_data, (x, weight, bias),
+                        lambda g: (g @ weight.data, g.T @ xd, g.sum(axis=0)))
 
 
 def _check_labels(labels: np.ndarray) -> None:
@@ -195,11 +178,10 @@ def bce_loss_mean(y_hat: Tensor, labels) -> Tensor:
     terms = -(labels * np.log(p) + (1.0 - labels) * np.log1p(-p))
     out_data = np.asarray(terms.mean())
 
-    def backward():
+    def vjp(g):
         # Zero gradient where the clamp was active.
         live = flat == p
         dp = -(labels / p - (1.0 - labels) / (1.0 - p)) * live / flat.size
-        a._accumulate((float(out.grad) * dp).reshape(a.data.shape))
+        return ((float(g) * dp).reshape(a.data.shape),)
 
-    out = Tensor._wrap(out_data, (a,), backward)
-    return out
+    return Tensor._wrap(out_data, (a,), vjp)

@@ -138,25 +138,19 @@ def tkp_pool(x: Tensor, cfg: TkpConfig, rng: np.random.Generator | None = None
         dropped = rng.random(selected.shape) <= rbld_probabilities(cfg.k, cfg.p_min, cfg.p_max)
         vector[dropped] = 0.0
 
-    def backward_vec():
-        up = out_vec.grad.reshape(selected.shape)
-        if dropped is not None:
-            up = up * ~dropped
-        x._accumulate(_scatter(x.data.shape, selected, up))
+    def vjp_vec(g):
+        up = g.reshape(selected.shape)
+        return (_scatter(x.data.shape, selected, up if dropped is None else up * ~dropped),)
 
-    out_vec = Tensor._wrap(vector.reshape(n, -1), (x,), backward_vec)
+    out_vec = Tensor._wrap(vector.reshape(n, -1), (x,), vjp_vec)
 
     if rng is not None and cfg.rks_enabled:
         pick = np.argpartition(rng.random(flat.shape), cfg.k - 1, axis=1)[:, :cfg.k]
         picked = np.take_along_axis(flat, pick, axis=1)
         order = np.lexsort((pick, picked))
         star_idx = np.take_along_axis(pick, order, axis=1)
-
-        def backward_star():
-            x._accumulate(_scatter(x.data.shape, star_idx, out_star.grad))
-
-        out_star = Tensor._wrap(np.take_along_axis(picked, order, axis=1).reshape(n, -1),
-                                (x,), backward_star)
+        out_star = Tensor._wrap(np.take_along_axis(picked, order, axis=1).reshape(n, -1), (x,),
+                                lambda g: (_scatter(x.data.shape, star_idx, g),))
 
     return out_vec, out_star, PooledVectors(selected, star_idx, dropped)
 
@@ -165,15 +159,9 @@ def gap_pool(x: Tensor) -> Tensor:
     """Differentiable batched global average pooling: (N,C,H,W) -> (N,C)."""
     if x.data.ndim != 4:
         raise ShapeError(f"gap_pool input must be NxCxHxW, got rank {x.data.ndim}")
-    n, c, h, w = x.data.shape
-    out_data = x.data.mean(axis=(2, 3))
-
-    def backward():
-        g = out.grad[:, :, None, None] / (h * w)
-        x._accumulate(np.broadcast_to(g, x.data.shape))
-
-    out = Tensor._wrap(out_data, (x,), backward)
-    return out
+    h, w = x.data.shape[2:]
+    return Tensor._wrap(x.data.mean(axis=(2, 3)), (x,),
+                        lambda g: (np.broadcast_to(g[:, :, None, None] / (h * w), x.data.shape),))
 
 
 def gmp_pool(x: Tensor) -> Tensor:

@@ -1,10 +1,13 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every differentiable op returns a new ``Tensor`` whose ``_backward``
-closure scatters the output gradient to the inputs. ``Tensor.backward``
-walks the recorded graph once in reverse topological order. Ops never
-build graph state when no input requires gradients, so inference runs
-allocation-light.
+An op computes its value and hands ``Tensor._wrap`` a vector-Jacobian
+product: ``vjp(g)`` maps the output gradient ``g`` to one gradient per
+parent, in order, and may return ``None`` only for a parent that needs
+none. ``_wrap`` alone records the graph edge, and only when some parent
+requires gradients. ``Tensor.backward`` walks the recorded graph once in
+reverse topological order, releasing each node as it goes. The model's
+parameters require gradients, so inference (``LfmModel.score``) records
+a graph too, about 15 nodes per call.
 
 Shape rules are strict: ``+`` and ``-`` take two tensors of identical
 shape, ``*`` also a Python scalar; there is no implicit broadcasting.
@@ -41,13 +44,24 @@ class Tensor:
     # -- construction helpers -------------------------------------------
 
     @staticmethod
-    def _wrap(data: np.ndarray, parents: tuple["Tensor", ...], backward_fn) -> "Tensor":
-        """Build an op output; records the graph edge only when needed."""
+    def _wrap(data: np.ndarray, parents: tuple["Tensor", ...], vjp) -> "Tensor":
+        """Build an op output; records the graph edge only when needed.
+
+        The recorded ``_backward`` passes the output gradient through
+        ``vjp`` and accumulates each result into its parent, skipping
+        parents that do not require gradients.
+        """
         out = Tensor(data)
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(p for p in parents if p.requires_grad)
-            out._backward = backward_fn
+
+            def backward():
+                for p, g in zip(parents, vjp(out.grad)):
+                    if p.requires_grad:
+                        p._accumulate(g)
+
+            out._backward = backward
         return out
 
     def _accumulate(self, g: np.ndarray) -> None:
@@ -84,10 +98,12 @@ class Tensor:
         ``grad`` defaults to ones and may only be omitted for
         single-element tensors.
 
-        Releasing drops every visited node's backward closure and parent
-        links. Each closure captures the tensor it produced, so an
-        unreleased graph is a reference cycle pinning its numpy buffers
-        until the cycle collector happens to run.
+        Each node's backward closure and parent links are dropped right
+        after the closure runs. A closure captures the tensor it produced,
+        so an unreleased graph is a reference cycle pinning its numpy
+        buffers until the cycle collector happens to run; releasing during
+        the walk also frees what each op kept for its backward (conv's
+        im2col rows) before the walk reaches the ops below it.
         """
         if not self.requires_grad:
             return
@@ -121,7 +137,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward()
-        for node in topo:
             node._backward = None
             node._parents = ()
 
@@ -132,43 +147,17 @@ class Tensor:
             return NotImplemented
         if other.shape != self.shape:
             raise ShapeError(f"add needs matching shapes, got {self.shape} and {other.shape}")
-        out_data = self.data + other.data
-        a, b = self, other
-
-        def backward():
-            if a.requires_grad:
-                a._accumulate(out.grad)
-            if b.requires_grad:
-                b._accumulate(out.grad)
-
-        out = Tensor._wrap(out_data, (a, b), backward)
-        return out
+        return Tensor._wrap(self.data + other.data, (self, other), lambda g: (g, g))
 
     def __mul__(self, other) -> "Tensor":
         if isinstance(other, Tensor):
             if other.shape != self.shape:
                 raise ShapeError(f"mul needs matching shapes, got {self.shape} and {other.shape}")
             a, b = self, other
-            out_data = a.data * b.data
-
-            def backward():
-                if a.requires_grad:
-                    a._accumulate(out.grad * b.data)
-                if b.requires_grad:
-                    b._accumulate(out.grad * a.data)
-
-            out = Tensor._wrap(out_data, (a, b), backward)
-            return out
+            return Tensor._wrap(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
         if isinstance(other, (int, float)):
-            a = self
             c = float(other)
-            out_data = a.data * c
-
-            def backward():
-                a._accumulate(out.grad * c)
-
-            out = Tensor._wrap(out_data, (a,), backward)
-            return out
+            return Tensor._wrap(self.data * c, (self,), lambda g: (g * c,))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -182,14 +171,8 @@ class Tensor:
         return self + (-other)
 
     def sum(self) -> "Tensor":
-        a = self
-        out_data = np.asarray(a.data.sum())
-
-        def backward():
-            a._accumulate(np.full_like(a.data, float(out.grad)))
-
-        out = Tensor._wrap(out_data, (a,), backward)
-        return out
+        return Tensor._wrap(np.asarray(self.data.sum()), (self,),
+                            lambda g: (np.full_like(self.data, float(g)),))
 
     # -- elementwise nonlinearities -----------------------------------------
 
@@ -199,39 +182,19 @@ class Tensor:
         The clamp keeps downstream log losses finite for saturated
         inputs; gradients use the clamped value in sig*(1-sig).
         """
-        a = self
-        d = a.data
+        d = self.data
         out_data = np.empty_like(d)
         pos = d >= 0
         out_data[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
         ez = np.exp(d[~pos])
         out_data[~pos] = ez / (1.0 + ez)
         np.clip(out_data, _SIGMOID_CLAMP, 1.0 - _SIGMOID_CLAMP, out=out_data)
-
-        def backward():
-            a._accumulate(out.grad * out_data * (1.0 - out_data))
-
-        out = Tensor._wrap(out_data, (a,), backward)
-        return out
+        return Tensor._wrap(out_data, (self,), lambda g: (g * out_data * (1.0 - out_data),))
 
     def abs(self) -> "Tensor":
         """Elementwise absolute value; subgradient at 0 is 0."""
-        a = self
-        out_data = np.abs(a.data)
-
-        def backward():
-            a._accumulate(out.grad * np.sign(a.data))
-
-        out = Tensor._wrap(out_data, (a,), backward)
-        return out
+        return Tensor._wrap(np.abs(self.data), (self,), lambda g: (g * np.sign(self.data),))
 
     def relu(self) -> "Tensor":
         """Elementwise max(x, 0); subgradient at 0 is 0."""
-        a = self
-        out_data = np.maximum(a.data, 0.0)
-
-        def backward():
-            a._accumulate(out.grad * (a.data > 0.0))
-
-        out = Tensor._wrap(out_data, (a,), backward)
-        return out
+        return Tensor._wrap(np.maximum(self.data, 0.0), (self,), lambda g: (g * (self.data > 0.0),))

@@ -46,8 +46,8 @@ class TrainConfig:
     rks: bool | None = None
 
     def __post_init__(self):
-        if self.lr < 0.0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        if not 0.0 <= self.lr < np.inf:
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:

@@ -226,6 +226,19 @@ class TestCorruption:
             load_checkpoint(path)
         assert 8 < exc.value.offset <= field_at
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha_in_header(self, tmp_path, alpha):
+        # alpha is the header's last field, after the threshold double.
+        model = odd_model()
+        _, blob = save_bytes(model, tmp_path)
+        alpha_at = len(_config_payload(model))
+        assert struct.unpack_from("<d", blob, alpha_at) == (0.25,)
+        path = self._rewrite_header(tmp_path, blob, model, alpha_at, "<d", alpha)
+        message = f"checkpoint header: alpha must be finite and >= 0, got {alpha}"
+        with pytest.raises(ParseError, match=message) as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == alpha_at - 8
+
     def test_format_constants(self):
         assert MAGIC == b"LFM1"
         assert VERSION == 4

@@ -159,6 +159,23 @@ class TestExitCodes:
         assert rc == 2
         assert "tkp k must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--lr", "inf"),
+                                            ("--alpha", "nan"), ("--alpha", "inf")])
+    def test_non_finite_setting_is_exit_2(self, tmp_path, flag, value, capsys):
+        (tmp_path / "m.tsv").write_text("missing.ppm\t0\treal\n")
+        rc = main(["train", "--manifest", str(tmp_path / "m.tsv"),
+                   "--out", str(tmp_path / "r"), flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{flag[2:]} must be finite and >= 0, got {value}" in err
+
+    def test_negative_gen_data_seed_is_exit_2(self, tmp_path, capsys):
+        rc = main(["gen-data", "--out", str(tmp_path / "d"), "--seed", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "seed must be >= 0, got -1" in err
+        assert not (tmp_path / "d").exists()
+
     def test_overlong_ppm_integer_is_exit_2(self, workspace, tmp_path, capsys):
         image = tmp_path / "wide.ppm"
         image.write_bytes(b"P6\n" + b"9" * 5000 + b" 1\n255\n" + bytes(3))

@@ -78,3 +78,18 @@ def test_no_unused_imports(path):
 def test_every_definition_is_read_or_exported():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert unread_definitions(sources, set(localfocus.__all__)) == []
+
+
+def accumulate_references(source: str) -> list[int]:
+    """Lines of ``source`` that read or call an attribute named ``_accumulate``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "_accumulate")
+
+
+def test_only_tensor_wires_gradients_into_the_graph():
+    # An op returns its input gradients from the vjp it hands to
+    # Tensor._wrap; only tensor.py accumulates them into parents.
+    assert accumulate_references("def f(t):\n    t._accumulate(1)\n") == [2]
+    offenders = {p.name: accumulate_references(p.read_text(encoding="utf-8"))
+                 for p in SOURCES if p.name != "tensor.py"}
+    assert {name: lines for name, lines in offenders.items() if lines} == {}

@@ -7,6 +7,7 @@ from dataclasses import replace
 from localfocus import (ConfigError, DomainError, LfmModel, ShapeError,
                         SNetConfig, Tensor, TkpConfig, total_param_count)
 from localfocus.gradcheck import check_gradient, relative_error
+from localfocus.npr import npr_extract
 
 TINY_SNET = SNetConfig(num_conv_layers=4, channel_plan=(8, 16, 32, 64))
 
@@ -31,6 +32,15 @@ class TestConstruction:
     def test_threshold_range(self):
         with pytest.raises(ConfigError):
             LfmModel(decision_threshold=1.5)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -1.0])
+    def test_alpha_must_be_finite_and_non_negative(self, alpha):
+        with pytest.raises(ConfigError, match=f"alpha must be finite and >= 0, got {alpha}"):
+            LfmModel(alpha=alpha)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            LfmModel(seed=-1)
 
     def test_head_width_follows_pooling(self):
         assert tiny_model("tkp", k=3).fc_weight.data.shape == (1, 192)
@@ -101,6 +111,19 @@ class TestForwardTrain:
         model.forward_train(images, labels, np.random.default_rng(2))
         for p in model.parameters():
             assert p.grad is not None and p.grad.shape == p.data.shape
+
+    def test_input_batch_stays_gradient_free(self, monkeypatch):
+        seen = []
+
+        def recording_npr(image, cfg):
+            seen.append(image)
+            return npr_extract(image, cfg)
+
+        model = tiny_model()
+        monkeypatch.setattr("localfocus.model.npr_extract", recording_npr)
+        model.forward_train(*tiny_batch(), np.random.default_rng(2))
+        assert len(seen) == 1 and not seen[0].requires_grad and seen[0].grad is None
+        assert all(p.grad is not None for p in model.parameters())
 
     def test_each_call_starts_from_zero_gradients(self):
         # Zeroing is forward_train's job (the optimizer has none): a second

@@ -134,6 +134,21 @@ class TestConv2d:
         assert check_gradient(f_of("b"), b0, b.grad) < 1e-4
 
 
+    @pytest.mark.parametrize("constant", [0, 1, 2], ids=["input", "weight", "bias"])
+    def test_constant_operand_stays_gradient_free(self, constant):
+        rng = np.random.default_rng(11)
+        values = (rng.normal(size=(2, 3, 6, 6)), rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4))
+        up = rng.normal(size=(2, 4, 4, 4))
+        full = [Tensor(v, requires_grad=True) for v in values]
+        conv2d(*full).backward(up)
+        part = [Tensor(v, requires_grad=i != constant) for i, v in enumerate(values)]
+        conv2d(*part).backward(up)
+        for i, (f, p) in enumerate(zip(full, part)):
+            if i == constant:
+                assert p.grad is None
+            else:
+                np.testing.assert_array_equal(p.grad, f.grad)
+
     @pytest.mark.parametrize("shape,stride,padding", [
         ((2, 3, 7, 6), 1, 0), ((2, 3, 7, 6), 2, 1), ((3, 6, 5), 1, 1), ((3, 6, 5), 2, 0),
     ])
@@ -296,6 +311,15 @@ class TestLinear:
     def test_bias_required(self):
         with pytest.raises(TypeError):
             linear(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4))))
+
+    def test_constant_input_stays_gradient_free(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3))
+        w = Tensor([[0.5, -1.0, 2.0]], requires_grad=True)
+        b = Tensor([0.25], requires_grad=True)
+        linear(x, w, b).sum().backward()
+        assert x.grad is None
+        np.testing.assert_array_equal(w.grad, [[3.0, 5.0, 7.0]])
+        np.testing.assert_array_equal(b.grad, [2.0])
 
     def test_gradients_tight(self):
         # Linear map: central differences are exact up to roundoff.

@@ -99,6 +99,15 @@ class TestArithmetic:
         np.testing.assert_array_equal(b.grad, [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(up, [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("op", [lambda a, b: a + b, lambda a, b: a * b,
+                                    lambda a, b: b + a, lambda a, b: b * a],
+                             ids=["add", "mul", "add-reversed", "mul-reversed"])
+    def test_constant_operand_stays_gradient_free(self, op):
+        a = Tensor([2.0, -3.0], requires_grad=True)
+        b = Tensor([5.0, 7.0])
+        op(a, b).sum().backward()
+        assert a.grad is not None and b.grad is None
+
     def test_backward_releases_the_graph(self):
         a = Tensor([2.0, -1.0], requires_grad=True)
         h = (a * 3.0).relu()

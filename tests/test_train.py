@@ -68,6 +68,12 @@ class TestTrainConfig:
             TrainConfig(pooling="gap", rbld=True)
 
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_lr_must_be_finite(self, lr):
+        with pytest.raises(ConfigError, match=f"lr must be finite and >= 0, got {lr}"):
+            TrainConfig(lr=lr)
+
+
 class TestTrain:
     def test_needs_nonempty_dataset(self):
         cfg = TrainConfig()
