@@ -12,7 +12,7 @@ from .data import (DatasetManifest, SampleRecord, gen_fake, gen_real,
                    load_dataset, read_manifest, write_manifest)
 from .errors import (ConfigError, DomainError, ParseError, ShapeError,
                      StateError)
-from .gradcheck import check_gradient, numeric_gradient, relative_error
+from .gradcheck import check_gradient
 from .metrics import EvalReport, accuracy, average_precision
 from .model import LfmModel, LossReport, total_param_count
 from .npr import NprConfig, npr_extract
@@ -37,8 +37,8 @@ __all__ = [
     "bce_loss_mean", "bench", "build_model", "check_gradient", "conv2d",
     "evaluate", "gap_pool", "gen_fake", "gen_real", "gmp_pool", "linear",
     "load_checkpoint", "load_dataset", "load_ppm", "maxpool2d", "npr_extract",
-    "numeric_gradient", "output_shape", "rbld_probabilities", "read_manifest",
-    "relative_error", "save_checkpoint", "save_ppm",
+    "output_shape", "rbld_probabilities", "read_manifest",
+    "save_checkpoint", "save_ppm",
     "snet_param_count", "tkp_pool", "total_param_count",
     "train", "write_manifest",
 ]

@@ -137,21 +137,15 @@ def _merge(fields: list[Field], ns: argparse.Namespace, prog: str) -> dict:
 
 def emit_config(fields: list[Field], resolved: dict) -> str:
     """Render the effective configuration as a re-ingestable file."""
-    lines = []
-    for f in sorted(fields, key=lambda f: f.name):
-        value = resolved[f.name]
-        if value is None:
-            continue
-        lines.append(f"{f.name} = {_format_value(value, f.parse)}\n")
-    return "".join(lines)
+    return "".join(f"{f.name} = {_format_value(resolved[f.name], f.parse)}\n"
+                   for f in sorted(fields, key=lambda f: f.name))
 
 
 # -- field registries ----------------------------------------------------------
 
 _MODEL_FIELDS = [
     Field("take_abs", _bool, NprConfig.take_abs, "feed |residual| instead of the signed residual"),
-    Field("num_conv_layers", int, SNetConfig.num_conv_layers, "conv layers in the salience net"),
-    Field("channel_plan", _intlist, SNetConfig.channel_plan, "output channels per conv layer (must end in 64)"),
+    Field("channel_plan", _intlist, SNetConfig().channel_plan, "conv output channels, one entry per layer"),
     Field("pool_after", _intlist, tuple(sorted(SNetConfig.pool_after)),
           "1-based conv indices followed by a 2x2 max-pool"),
     Field("pooling", str, TrainConfig.pooling, "pooling variant: tkp, gap, or gmp"),
@@ -239,6 +233,7 @@ def _config(cls, opts: dict):
 
 
 def _cmd_train(opts: dict) -> int:
+    opts = dict(opts, num_conv_layers=len(opts["channel_plan"]))  # one conv per plan entry
     npr_cfg, snet_cfg, train_cfg, tkp_cfg = (
         _config(cls, opts) for cls in (NprConfig, SNetConfig, TrainConfig, TkpConfig))
     model = build_model(train_cfg, npr_cfg=npr_cfg, snet_cfg=snet_cfg, tkp_cfg=tkp_cfg,
@@ -252,11 +247,8 @@ def _cmd_train(opts: dict) -> int:
     save_checkpoint(result.best_model, os.path.join(out_dir, "checkpoint_best.lfm"))
     save_loss_curve(result.epoch_losses, os.path.join(out_dir, "loss_curve.tsv"))
 
-    resolved = dict(opts)
-    resolved["rbld"] = model.tkp_cfg.rbld_enabled
-    resolved["rks"] = model.tkp_cfg.rks_enabled
-    resolved["channel_plan"] = snet_cfg.channel_plan
-    resolved["pool_after"] = tuple(sorted(snet_cfg.pool_after))
+    resolved = dict(opts, rbld=model.tkp_cfg.rbld_enabled, rks=model.tkp_cfg.rks_enabled,
+                    pool_after=tuple(sorted(snet_cfg.pool_after)))
     with open(os.path.join(out_dir, "config_used.cfg"), "w", encoding="utf-8") as fh:
         fh.write(emit_config(_TRAIN_FIELDS, resolved))
 

@@ -1,9 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer check `require_int`.
 
 All of these derive from ValueError (except StateError) so callers that
 just want "reject bad input" can catch one base class, while the CLI can
 map each to a specific exit code.
 """
+
+import numbers
 
 
 class ShapeError(ValueError):
@@ -40,3 +42,10 @@ class StateError(RuntimeError):
     def __init__(self, message: str, index: int):
         super().__init__(message)
         self.index = index
+
+
+def require_int(name: str, *values) -> None:
+    """Raise a ConfigError naming ``name`` unless every value is an integer."""
+    for value in values:
+        if not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")

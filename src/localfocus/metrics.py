@@ -10,20 +10,23 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from itertools import groupby
 
 from .errors import DomainError
 
 
+def _check_scores(name: str, scores: list[tuple[float, int]]) -> None:
+    if len(scores) == 0:
+        raise DomainError(f"{name} needs at least one scored sample")
+    for _, y in scores:
+        if y not in (0, 1):
+            raise DomainError(f"{name} labels must be 0 or 1, got {y!r}")
+
+
 def accuracy(scores: list[tuple[float, int]], threshold: float = 0.5) -> float:
     """Fraction of pairs where (score >= threshold) matches (label == 1)."""
-    if len(scores) == 0:
-        raise DomainError("accuracy needs at least one scored sample")
-    correct = 0
-    for s, y in scores:
-        if y not in (0, 1):
-            raise DomainError(f"accuracy labels must be 0 or 1, got {y!r}")
-        correct += int((s >= threshold) == (y == 1))
-    return correct / len(scores)
+    _check_scores("accuracy", scores)
+    return sum(int((s >= threshold) == (y == 1)) for s, y in scores) / len(scores)
 
 
 def average_precision(scores: list[tuple[float, int]]) -> float:
@@ -33,33 +36,20 @@ def average_precision(scores: list[tuple[float, int]]) -> float:
     increasing transforms of the scores, since only the ordering (with
     ties kept tied) enters.
     """
-    if len(scores) == 0:
-        raise DomainError("average_precision needs at least one scored sample")
-    for _, y in scores:
-        if y not in (0, 1):
-            raise DomainError(f"average_precision labels must be 0 or 1, got {y!r}")
+    _check_scores("average_precision", scores)
     n_pos = sum(y for _, y in scores)
     if n_pos == 0:
         raise DomainError("average_precision needs at least one positive sample")
 
-    ordered = sorted(scores, key=lambda sy: -sy[0])
-    ap = 0.0
+    ap = recall_prev = 0.0
     tp = fp = 0
-    recall_prev = 0.0
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j < len(ordered) and ordered[j][0] == ordered[i][0]:
-            if ordered[j][1] == 1:
-                tp += 1
-            else:
-                fp += 1
-            j += 1
+    for _, block in groupby(sorted(scores, key=lambda sy: -sy[0]), key=lambda sy: sy[0]):
+        labels = [y for _, y in block]
+        tp += labels.count(1)
+        fp += len(labels) - labels.count(1)
         recall = tp / n_pos
-        precision = tp / (tp + fp)
-        ap += (recall - recall_prev) * precision
+        ap += (recall - recall_prev) * (tp / (tp + fp))
         recall_prev = recall
-        i = j
     return ap
 
 

@@ -11,12 +11,13 @@ three numbers and the decomposition is exact by construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError, require_int
 from .npr import NprConfig, npr_extract
 from .ops import bce_loss_mean, linear
 from .pooling import TkpConfig, gap_pool, gmp_pool, tkp_pool
@@ -58,9 +59,14 @@ def _batch(images) -> np.ndarray:
     return np.stack(images)
 
 
+def _cells_read(pooling: str, k: int) -> int:
+    """Cells of each final map the pooling reads: k under top-k, else 1."""
+    return k if pooling == "tkp" else 1
+
+
 def head_width(pooling: str, k: int) -> int:
     """Length of the vector the head scores: 64*k under top-k pooling, else 64."""
-    return OUT_CHANNELS * k if pooling == "tkp" else OUT_CHANNELS
+    return OUT_CHANNELS * _cells_read(pooling, k)
 
 
 class LfmModel:
@@ -85,6 +91,7 @@ class LfmModel:
             raise ConfigError(f"decision_threshold must lie in [0, 1], got {decision_threshold}")
         if not 0.0 <= alpha < math.inf:
             raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
+        require_int("seed", seed)
         if seed < 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
         self.npr_cfg = npr_cfg or NprConfig()
@@ -118,24 +125,20 @@ class LfmModel:
         for p in self.parameters():
             p.zero_grad()
 
-    def check_input_size(self, h: int, w: int) -> None:
-        """Refuse an h x w input whose final maps hold fewer cells than the
-        pooling reads (k under top-k, else 1), naming the smallest even
-        square side this model scores."""
-        need = self.tkp_cfg.k if self.pooling == "tkp" else 1
+    def _fits(self, h: int, w: int) -> bool:
         try:
             _, ho, wo = output_shape(self.snet_cfg, h, w)
-            if ho * wo >= need:
-                return
         except ShapeError:
-            pass
-        # Invert the stack on a square: a 2x2 pool needs twice its output
-        # side, a k x k conv k - 1 more; NPR needs an even side.
-        side = math.isqrt(need - 1) + 1
-        for i, k in reversed(list(enumerate(self.snet_cfg.kernel_sizes(), start=1))):
-            side = side * (2 if i in self.snet_cfg.pool_after else 1) + k - 1
-        raise ShapeError(f"a {h}x{w} input is too small for this model; "
-                         f"the smallest side it scores is {side + side % 2}")
+            return False
+        return ho * wo >= _cells_read(self.pooling, self.tkp_cfg.k)
+
+    def check_input_size(self, h: int, w: int) -> None:
+        """Refuse an h x w input whose final maps hold fewer cells than the
+        pooling reads, naming the smallest even square side this model scores."""
+        if not self._fits(h, w):
+            side = next(s for s in itertools.count(2, 2) if self._fits(s, s))
+            raise ShapeError(f"a {h}x{w} input is too small for this model; "
+                             f"the smallest side it scores is {side}")
 
     # -- forward paths ----------------------------------------------------------
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, require_int
 from .tensor import Tensor
 
 
@@ -60,6 +60,7 @@ class TkpConfig:
     rks_enabled: bool = True
 
     def __post_init__(self):
+        require_int("tkp k", self.k)
         if self.k < 1:
             raise ConfigError(f"tkp k must be >= 1, got {self.k}")
         if not (0.0 <= self.p_min <= self.p_max < 1.0):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, require_int
 from .ops import conv2d, maxpool2d
 from .tensor import Tensor
 
@@ -50,11 +50,13 @@ class SNetConfig:
     pool_after: frozenset[int] = frozenset({1, 2, 3})
 
     def __post_init__(self):
+        require_int("num_conv_layers", self.num_conv_layers)
         if self.num_conv_layers < 2:
             raise ConfigError(f"snet needs at least 2 conv layers, got {self.num_conv_layers}")
         plan = self.channel_plan
         if plan is None:
             plan = (32,) + (OUT_CHANNELS,) * (self.num_conv_layers - 1)
+        require_int("channel_plan entry", *plan)
         plan = tuple(int(c) for c in plan)
         object.__setattr__(self, "channel_plan", plan)
         if len(plan) != self.num_conv_layers:
@@ -65,6 +67,7 @@ class SNetConfig:
             raise ConfigError(f"channel_plan entries must be positive, got {plan}")
         if plan[-1] != OUT_CHANNELS:
             raise ConfigError(f"channel_plan must end in {OUT_CHANNELS}, got {plan[-1]}")
+        require_int("pool_after entry", *self.pool_after)
         pool = frozenset(int(i) for i in self.pool_after)
         object.__setattr__(self, "pool_after", pool)
         if any(i < 1 or i > self.num_conv_layers for i in pool):
@@ -128,11 +131,10 @@ class SNet:
         # Chase shapes up front so a too-small input names the failing stage
         # instead of dying mid-stack.
         output_shape(self.cfg, x.data.shape[-2], x.data.shape[-1])
-        n_layers = self.cfg.num_conv_layers
         for i, (w, b) in enumerate(self.layers, start=1):
             x = conv2d(x, w, b)
             if i in self.cfg.pool_after:
                 x = maxpool2d(x, k=2, stride=2)
-            if i < n_layers:
+            if i < len(self.layers):
                 x = x.relu()
         return x

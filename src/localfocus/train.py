@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import SampleRecord
-from .errors import ConfigError, DomainError, StateError
+from .errors import ConfigError, DomainError, StateError, require_int
 from .metrics import EvalReport, accuracy, average_precision
 from .model import POOLING_VARIANTS, LfmModel, total_param_count
 from .optim import Adam
@@ -48,6 +48,8 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.lr < np.inf:
             raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
+        for name in ("batch_size", "epochs", "seed"):
+            require_int(name, getattr(self, name))
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
@@ -160,21 +162,15 @@ class BenchReport:
     """Measured inference throughput."""
 
     images_per_second: float
-    n_images: int
-    batch_size: int
-    workers: int
-    params: int
 
 
 def bench(model: LfmModel, images: list[np.ndarray], batch_size: int = 32,
           workers: int = 1) -> BenchReport:
-    """Time steady-state inference over ``images``.
+    """Time steady-state inference over ``images`` as ``images_per_second``.
 
-    Needs at least 100 images for a stable estimate. A short warmup runs
-    first; scoring then happens in ``workers`` threads over
-    ``batch_size`` chunks. Scores are discarded; only timing matters,
-    and the threaded path scores each image with the same deterministic
-    code as :func:`evaluate`.
+    Needs at least 100 images for a stable estimate. After a short
+    warmup, ``workers`` threads score ``batch_size`` chunks with the same
+    deterministic code as :func:`evaluate` and discard the scores.
     """
     if len(images) < 100:
         raise DomainError(f"bench needs >= 100 images for stable timing, got {len(images)}")
@@ -183,25 +179,14 @@ def bench(model: LfmModel, images: list[np.ndarray], batch_size: int = 32,
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
 
-    for img in images[:min(8, len(images))]:
+    for img in images[:8]:
         model.score(img)
 
     chunks = [images[i:i + batch_size] for i in range(0, len(images), batch_size)]
-
-    def run_chunk(chunk):
-        return [model.score(img) for img in chunk]
-
     start = time.perf_counter()
-    if workers == 1:
-        for chunk in chunks:
-            run_chunk(chunk)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, chunks))
-    elapsed = time.perf_counter() - start
-    return BenchReport(images_per_second=len(images) / elapsed, n_images=len(images),
-                       batch_size=batch_size, workers=workers,
-                       params=total_param_count(model))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(lambda chunk: [model.score(img) for img in chunk], chunks))
+    return BenchReport(images_per_second=len(images) / (time.perf_counter() - start))
 
 
 def save_loss_curve(losses: list[float], path: str) -> None:

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from localfocus import (NprConfig, ParseError, SNetConfig, TkpConfig,
-                        TrainConfig, read_manifest, save_ppm)
+                        TrainConfig, load_checkpoint, read_manifest, save_ppm)
 from localfocus.cli import _TRAIN_FIELDS, main, read_config_file
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-TINY_MODEL_FLAGS = ["--num-conv-layers", "3", "--channel-plan", "8,16,64",
+TINY_MODEL_FLAGS = ["--channel-plan", "8,16,64",
                     "--pool-after", "1,2", "--k", "4"]
 
 
@@ -61,6 +61,11 @@ class TestEndToEnd:
         assert cfg["epochs"][0] == "2"
         assert cfg["channel_plan"][0] == "8,16,64"
         assert cfg["rbld"][0] == "true" and cfg["rks"][0] == "true"
+
+    def test_channel_plan_sets_the_depth(self, workspace):
+        cfg = read_config_file(os.path.join(workspace["run"], "config_used.cfg"))
+        assert "num_conv_layers" not in cfg
+        assert len(load_checkpoint(workspace["last"]).snet.layers) == 3
 
     def test_eval_writes_json_report(self, workspace, tmp_path, capsys):
         out = str(tmp_path / "report.json")
@@ -209,6 +214,16 @@ class TestExitCodes:
         rc = main(["train", "--config", str(cfg), "--manifest", "m", "--out", "o"])
         assert rc == 2
         assert f"unknown config key {line.split()[0]!r}" in capsys.readouterr().err
+
+    def test_depth_comes_from_the_channel_plan_alone(self, tmp_path, capsys):
+        # --num-conv-layers is gone, and a config_used.cfg written before it
+        # went must lose its num_conv_layers line.
+        assert main(["train", "--manifest", "m", "--out", "o", "--num-conv-layers", "3"]) == 1
+        assert "unrecognized arguments: --num-conv-layers 3" in capsys.readouterr().err
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("num_conv_layers = 5\n")
+        assert main(["train", "--config", str(cfg), "--manifest", "m", "--out", "o"]) == 2
+        assert "unknown config key 'num_conv_layers'" in capsys.readouterr().err
 
     def test_malformed_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -42,6 +42,10 @@ class TestConstruction:
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             LfmModel(seed=-1)
 
+    def test_non_integer_seed_rejected(self):
+        with pytest.raises(ConfigError, match="^seed must be an integer, got 1.5$"):
+            LfmModel(seed=1.5)
+
     def test_head_width_follows_pooling(self):
         assert tiny_model("tkp", k=3).fc_weight.data.shape == (1, 192)
         assert tiny_model("gap").fc_weight.data.shape == (1, 64)
@@ -256,11 +260,15 @@ class TestInference:
             tiny_model().score(np.zeros((2, 3, 16, 16)))
 
     @pytest.mark.parametrize("model,smallest", [
-        (LfmModel(), 48), (LfmModel(pooling="gap"), 24), (tiny_model(k=2), 24), (tiny_model(k=5), 32),
-    ], ids=["tkp", "gap", "tiny-k2", "tiny-k5"])
+        (LfmModel(), 48), (LfmModel(pooling="gap"), 24), (LfmModel(pooling="gmp"), 24),
+        (LfmModel(tkp_cfg=TkpConfig(k=1)), 24), (tiny_model(k=2), 24), (tiny_model(k=5), 32),
+    ], ids=["tkp", "gap", "gmp", "tkp-k1", "tiny-k2", "tiny-k5"])
     def test_too_small_input_names_the_smallest_side(self, model, smallest):
+        model.check_input_size(smallest, smallest)
         model.score(np.zeros((3, smallest, smallest)))
         side = smallest - 2
+        with pytest.raises(ShapeError):
+            model.check_input_size(side, side)
         with pytest.raises(ShapeError, match=rf"a {side}x{side} input is too small for this model; "
                                              rf"the smallest side it scores is {smallest}$"):
             model.score(np.zeros((3, side, side)))

@@ -57,6 +57,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             TkpConfig(k=0)
 
+    def test_k_must_be_an_integer(self):
+        with pytest.raises(ConfigError, match="^tkp k must be an integer, got 2.5$"):
+            TkpConfig(k=2.5)
+        assert TkpConfig(k=np.int64(3)).k == 3
+
     def test_dropout_band(self):
         with pytest.raises(ConfigError):
             TkpConfig(p_min=-0.1)

@@ -49,6 +49,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SNetConfig(num_conv_layers=2, channel_plan=(0, 64))
 
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(num_conv_layers=3.0, channel_plan=(8, 16, 64)), "num_conv_layers must be an integer, got 3.0"),
+        (dict(num_conv_layers=3, channel_plan=(8.7, 16, 64)), "channel_plan entry must be an integer, got 8.7"),
+        (dict(pool_after={1.5}), "pool_after entry must be an integer, got 1.5"),
+    ], ids=["depth", "channel-plan", "pool-after"])
+    def test_non_integer_settings_rejected(self, kwargs, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            SNetConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SNetConfig(num_conv_layers=np.int64(3), channel_plan=np.array([8, 16, 64]),
+                         pool_after={np.int32(1)})
+        assert cfg.channel_plan == (8, 16, 64) and cfg.pool_after == frozenset({1})
+
 
 class TestShapes:
     def test_default_64_chain(self):

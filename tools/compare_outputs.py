@@ -18,8 +18,9 @@ text file (stdout, loss curves, infer lines) max |d| over its numbers.
 
 Exit status 1 when a command fails, a file exists on one side only, or
 a file differs in kind: array count or shapes, eval keys, a non-numeric
-token, or the bytes of a file with no numbers to compare (images,
-manifests, configs). Otherwise 0, however far the numbers moved.
+token (the lines only one side has are named, up to three), or the bytes
+of a file with no numbers to compare (images, manifests, configs).
+Otherwise 0, however far the numbers moved.
 
 Byte equality is a same-machine contract: the BLAS build and its thread
 count decide summation order, so compare trees on one machine.
@@ -28,6 +29,7 @@ count decide summation order, so compare trees on one machine.
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import os
 import re
@@ -98,13 +100,21 @@ def load_arrays(tree: str, paths: list[str]) -> list[list[np.ndarray]]:
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
 
 
+def one_sided_lines(a: str, b: str, limit: int = 3) -> str:
+    """The first ``limit`` lines only one text has, as ``-old`` / ``+new``."""
+    diff = difflib.ndiff(a.splitlines(), b.splitlines())
+    lines = [line[0] + line[2:] for line in diff if line[:2] in ("- ", "+ ")]
+    more = f" (and {len(lines) - limit} more)" if len(lines) > limit else ""
+    return ", ".join(repr(line) for line in lines[:limit]) + more
+
+
 def compare_text(a: str, b: str) -> tuple[str, bool]:
     """(verdict, same kind) for two text files: numbers compared by value,
     everything else must match exactly."""
     ta, tb = _NUMBER.split(a), _NUMBER.split(b)
     na, nb = _NUMBER.findall(a), _NUMBER.findall(b)
     if ta != tb or len(na) != len(nb):
-        return "differs in its non-numeric text", False
+        return "differs in its non-numeric text: " + one_sided_lines(a, b), False
     if not na:
         return "differs", False
     delta = max(abs(float(x) - float(y)) for x, y in zip(na, nb))
