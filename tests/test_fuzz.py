@@ -103,8 +103,7 @@ def test_config_mutants(tmp_path, monkeypatch, capsys):
     # The manifest does not exist, so no mutant that resolves can train.
     text = (f"manifest = {tmp_path / 'missing.tsv'}\nout = {tmp_path / 'run'}\n"
             "# a tiny model\nepochs = 1\nbatch_size = 4\nseed = 3\nlr = 0.001\n"
-            "num_conv_layers = 3\nchannel_plan = 8,16,64\npool_after = 1,2\n"
-            "k = 4\npooling = tkp\nrbld = true\n")
+            "channel_plan = 8,16,64\npool_after = 1,2\nk = 4\npooling = tkp\nrbld = true\n")
     path = tmp_path / "m.cfg"
     for blob in mutants(text.encode("utf-8"), rng):
         check_typed(resolve_train_config, blob, path, (ParseError, cli._UsageError))

@@ -98,14 +98,15 @@ def load_arrays(tree: str, paths: list[str]) -> list[list[np.ndarray]]:
 
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
+_NAMED_LINES = 3
 
 
-def one_sided_lines(a: str, b: str, limit: int = 3) -> str:
-    """The first ``limit`` lines only one text has, as ``-old`` / ``+new``."""
+def one_sided_lines(a: str, b: str) -> str:
+    """The first three lines only one text has, as ``-old`` / ``+new``."""
     diff = difflib.ndiff(a.splitlines(), b.splitlines())
     lines = [line[0] + line[2:] for line in diff if line[:2] in ("- ", "+ ")]
-    more = f" (and {len(lines) - limit} more)" if len(lines) > limit else ""
-    return ", ".join(repr(line) for line in lines[:limit]) + more
+    more = f" (and {len(lines) - _NAMED_LINES} more)" if len(lines) > _NAMED_LINES else ""
+    return ", ".join(repr(line) for line in lines[:_NAMED_LINES]) + more
 
 
 def compare_text(a: str, b: str) -> tuple[str, bool]:
