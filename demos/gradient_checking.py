@@ -42,8 +42,7 @@ def main():
 
     print("\nFull chain: train loss as a function of the classifier head.")
     cfg = TrainConfig(seed=1, rbld=False, rks=False)
-    model = build_model(cfg, snet_cfg=SNetConfig(num_conv_layers=3, channel_plan=(8, 16, 64),
-                                                 pool_after=frozenset({1, 2})),
+    model = build_model(cfg, snet_cfg=SNetConfig(channel_plan=(8, 16, 64), pool_after=frozenset({1, 2})),
                         tkp_cfg=TkpConfig(k=4))
     images = [rng.random((3, 16, 16)) for _ in range(2)]
     labels = [0, 1]

@@ -24,8 +24,7 @@ def main():
 
     cfg = TrainConfig(lr=3e-3, batch_size=16, epochs=6, seed=11)
     model = build_model(cfg,
-                        snet_cfg=SNetConfig(num_conv_layers=3, channel_plan=(8, 16, 64),
-                                            pool_after=frozenset({1, 2})),
+                        snet_cfg=SNetConfig(channel_plan=(8, 16, 64), pool_after=frozenset({1, 2})),
                         tkp_cfg=TkpConfig(k=4))
     result = train(model, train_reals + train_fakes, cfg)
     for epoch, loss in enumerate(result.epoch_losses):

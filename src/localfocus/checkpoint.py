@@ -127,8 +127,7 @@ def load_checkpoint(path: str) -> LfmModel:
             offset=head_end,
         )
 
-    snet_cfg = _header_config(snet_at, SNetConfig, num_conv_layers=plan_len,
-                              channel_plan=plan, pool_after=frozenset(pool))
+    snet_cfg = _header_config(snet_at, SNetConfig, channel_plan=plan, pool_after=frozenset(pool))
     tkp_cfg = _header_config(tkp_at, TkpConfig, k=k, p_min=p_min, p_max=p_max,
                              rbld_enabled=bool(rbld), rks_enabled=bool(rks))
     pooling = POOLING_VARIANTS[pool_code]

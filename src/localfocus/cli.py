@@ -145,7 +145,7 @@ def emit_config(fields: list[Field], resolved: dict) -> str:
 
 _MODEL_FIELDS = [
     Field("take_abs", _bool, NprConfig.take_abs, "feed |residual| instead of the signed residual"),
-    Field("channel_plan", _intlist, SNetConfig().channel_plan, "conv output channels, one entry per layer"),
+    Field("channel_plan", _intlist, SNetConfig.channel_plan, "conv output channels, one entry per layer"),
     Field("pool_after", _intlist, tuple(sorted(SNetConfig.pool_after)),
           "1-based conv indices followed by a 2x2 max-pool"),
     Field("pooling", str, TrainConfig.pooling, "pooling variant: tkp, gap, or gmp"),
@@ -233,7 +233,6 @@ def _config(cls, opts: dict):
 
 
 def _cmd_train(opts: dict) -> int:
-    opts = dict(opts, num_conv_layers=len(opts["channel_plan"]))  # one conv per plan entry
     npr_cfg, snet_cfg, train_cfg, tkp_cfg = (
         _config(cls, opts) for cls in (NprConfig, SNetConfig, TrainConfig, TkpConfig))
     model = build_model(train_cfg, npr_cfg=npr_cfg, snet_cfg=snet_cfg, tkp_cfg=tkp_cfg,

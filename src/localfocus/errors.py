@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer check `require_int`.
+"""Exception types shared across the package, and the checks `require_int` and `require_bool`.
 
 All of these derive from ValueError (except StateError) so callers that
 just want "reject bad input" can catch one base class, while the CLI can
@@ -6,6 +6,8 @@ map each to a specific exit code.
 """
 
 import numbers
+
+import numpy as np
 
 
 class ShapeError(ValueError):
@@ -45,7 +47,13 @@ class StateError(RuntimeError):
 
 
 def require_int(name: str, *values) -> None:
-    """Raise a ConfigError naming ``name`` unless every value is an integer."""
+    """Raise a ConfigError naming ``name`` unless every value is an integer (a bool is not)."""
     for value in values:
-        if not isinstance(value, numbers.Integral):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def require_bool(name: str, value) -> None:
+    """Raise a ConfigError naming ``name`` unless ``value`` is a Python or numpy bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{name} must be a bool, got {value!r}")

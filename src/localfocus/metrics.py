@@ -3,12 +3,13 @@
 Average precision is the step-interpolated integral of the
 precision-recall curve: walk distinct score thresholds from high to
 low, treating tied scores as one block, and accumulate
-(recall_gain) * precision at each step.
+(recall_gain) * precision at each step. Both refuse a NaN or infinite score.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from itertools import groupby
 
@@ -18,7 +19,9 @@ from .errors import DomainError
 def _check_scores(name: str, scores: list[tuple[float, int]]) -> None:
     if len(scores) == 0:
         raise DomainError(f"{name} needs at least one scored sample")
-    for _, y in scores:
+    for i, (s, y) in enumerate(scores):
+        if not math.isfinite(s):
+            raise DomainError(f"{name} score {i} is not finite: {s!r}")
         if y not in (0, 1):
             raise DomainError(f"{name} labels must be 0 or 1, got {y!r}")
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, require_bool
 from .tensor import Tensor
 
 
@@ -33,6 +33,9 @@ class NprConfig:
     """
 
     take_abs: bool = True
+
+    def __post_init__(self):
+        require_bool("take_abs", self.take_abs)
 
 
 def resample_2x(data: np.ndarray) -> np.ndarray:

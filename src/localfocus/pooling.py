@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, require_int
+from .errors import ConfigError, ShapeError, require_bool, require_int
 from .tensor import Tensor
 
 
@@ -61,6 +61,8 @@ class TkpConfig:
 
     def __post_init__(self):
         require_int("tkp k", self.k)
+        require_bool("rbld_enabled", self.rbld_enabled)
+        require_bool("rks_enabled", self.rks_enabled)
         if self.k < 1:
             raise ConfigError(f"tkp k must be >= 1, got {self.k}")
         if not (0.0 <= self.p_min <= self.p_max < 1.0):

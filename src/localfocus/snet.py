@@ -37,32 +37,29 @@ OUT_CHANNELS = 64
 class SNetConfig:
     """Layer plan for the salience network.
 
-    num_conv_layers: total conv layers; the last is always 1x1, the rest 2x2.
-    channel_plan: output channels per conv layer; None derives
-        (32, 64, 64, ...) of the right length. Must end in 64.
+    channel_plan: output channels per conv layer; its length is the depth
+        (the last conv is 1x1, the rest 2x2). Must end in 64.
+    num_conv_layers: ``len(channel_plan)``; a value passed in must equal it.
     pool_after: 1-based conv indices followed by a 2x2/stride-2 max-pool.
 
     Every conv layer carries a per-channel bias.
     """
 
-    num_conv_layers: int = 5
-    channel_plan: tuple[int, ...] | None = None
+    num_conv_layers: int | None = None
+    channel_plan: tuple[int, ...] = (32, 64, 64, 64, 64)
     pool_after: frozenset[int] = frozenset({1, 2, 3})
 
     def __post_init__(self):
-        require_int("num_conv_layers", self.num_conv_layers)
-        if self.num_conv_layers < 2:
-            raise ConfigError(f"snet needs at least 2 conv layers, got {self.num_conv_layers}")
-        plan = self.channel_plan
-        if plan is None:
-            plan = (32,) + (OUT_CHANNELS,) * (self.num_conv_layers - 1)
-        require_int("channel_plan entry", *plan)
-        plan = tuple(int(c) for c in plan)
+        depth = len(self.channel_plan) if self.num_conv_layers is None else self.num_conv_layers
+        require_int("num_conv_layers", depth)
+        if depth < 2:
+            raise ConfigError(f"snet needs at least 2 conv layers, got {depth}")
+        require_int("channel_plan entry", *self.channel_plan)
+        plan = tuple(int(c) for c in self.channel_plan)
+        if len(plan) != depth:
+            raise ConfigError(f"channel_plan length {len(plan)} != num_conv_layers {depth}")
         object.__setattr__(self, "channel_plan", plan)
-        if len(plan) != self.num_conv_layers:
-            raise ConfigError(
-                f"channel_plan length {len(plan)} != num_conv_layers {self.num_conv_layers}"
-            )
+        object.__setattr__(self, "num_conv_layers", len(plan))
         if any(c < 1 for c in plan):
             raise ConfigError(f"channel_plan entries must be positive, got {plan}")
         if plan[-1] != OUT_CHANNELS:

@@ -2,12 +2,12 @@
 
 An op computes its value and hands ``Tensor._wrap`` a vector-Jacobian
 product: ``vjp(g)`` maps the output gradient ``g`` to one gradient per
-parent, in order, and may return ``None`` only for a parent that needs
-none. ``_wrap`` alone records the graph edge, and only when some parent
-requires gradients. ``Tensor.backward`` walks the recorded graph once in
-reverse topological order, releasing each node as it goes. The model's
-parameters require gradients, so inference (``LfmModel.score``) records
-a graph too, about 15 nodes per call.
+parent, in order, and may return ``None`` only for a parent that needs none.
+``_wrap`` alone records the graph edge, and only when some parent requires
+gradients. ``Tensor.backward`` walks the recorded graph once in reverse
+topological order, releasing each node as it goes; only leaves (parameters,
+inputs) keep ``.grad``. The model's parameters require gradients, so
+inference (``LfmModel.score``) records a graph too, about 15 nodes per call.
 
 Shape rules are strict: ``+`` and ``-`` take two tensors of identical
 shape, ``*`` also a Python scalar; there is no implicit broadcasting.
@@ -28,7 +28,7 @@ class Tensor:
     Attributes:
         data: the value, always float64.
         grad: accumulated gradient, same shape as ``data``; ``None``
-            until something backpropagates into this tensor.
+            until backward reaches this tensor; op outputs drop it once used.
         requires_grad: whether backward should reach this tensor.
     """
 
@@ -98,12 +98,12 @@ class Tensor:
         ``grad`` defaults to ones and may only be omitted for
         single-element tensors.
 
-        Each node's backward closure and parent links are dropped right
-        after the closure runs. A closure captures the tensor it produced,
-        so an unreleased graph is a reference cycle pinning its numpy
-        buffers until the cycle collector happens to run; releasing during
-        the walk also frees what each op kept for its backward (conv's
-        im2col rows) before the walk reaches the ops below it.
+        Each node's closure, parent links and (for an op output) gradient
+        are dropped right after its closure runs. A closure captures the
+        tensor it produced, so an unreleased graph is a reference cycle
+        pinning its numpy buffers until the cycle collector runs; releasing
+        during the walk also frees what each op kept for its backward
+        (conv's im2col rows) before the walk reaches the ops below it.
         """
         if not self.requires_grad:
             return
@@ -137,6 +137,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward()
+                node.grad = None
             node._backward = None
             node._parents = ()
 

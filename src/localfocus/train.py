@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import SampleRecord
-from .errors import ConfigError, DomainError, StateError, require_int
+from .errors import ConfigError, DomainError, StateError, require_bool, require_int
 from .metrics import EvalReport, accuracy, average_precision
 from .model import POOLING_VARIANTS, LfmModel, total_param_count
 from .optim import Adam
@@ -50,6 +50,9 @@ class TrainConfig:
             raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         for name in ("batch_size", "epochs", "seed"):
             require_int(name, getattr(self, name))
+        for name in ("rbld", "rks"):
+            if getattr(self, name) is not None:
+                require_bool(name, getattr(self, name))
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
@@ -134,8 +137,8 @@ def build_model(cfg: TrainConfig, *, tkp_cfg: TkpConfig | None = None, **model_k
     tkp = tkp_cfg or TkpConfig()
     on = cfg.pooling == "tkp"
     tkp = replace(tkp,
-                  rbld_enabled=(on and tkp.rbld_enabled) if cfg.rbld is None else bool(cfg.rbld),
-                  rks_enabled=(on and tkp.rks_enabled) if cfg.rks is None else bool(cfg.rks))
+                  rbld_enabled=(on and tkp.rbld_enabled) if cfg.rbld is None else cfg.rbld,
+                  rks_enabled=(on and tkp.rks_enabled) if cfg.rks is None else cfg.rks)
     return LfmModel(tkp_cfg=tkp, pooling=cfg.pooling, seed=cfg.seed, **model_kwargs)
 
 
@@ -174,10 +177,10 @@ def bench(model: LfmModel, images: list[np.ndarray], batch_size: int = 32,
     """
     if len(images) < 100:
         raise DomainError(f"bench needs >= 100 images for stable timing, got {len(images)}")
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    for name, value in (("batch_size", batch_size), ("workers", workers)):
+        require_int(name, value)
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
 
     for img in images[:8]:
         model.score(img)

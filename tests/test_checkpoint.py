@@ -78,6 +78,13 @@ class TestRoundTrip:
         _, blob_b = save_bytes(loaded, tmp_path, "again.lfm")
         assert blob == blob_b
 
+    def test_numpy_bool_switches_save_the_same_bytes(self, tmp_path):
+        model = odd_model()
+        model.npr_cfg = NprConfig(take_abs=np.bool_(False))
+        model.tkp_cfg = TkpConfig(k=3, p_min=0.05, p_max=0.4,
+                                  rbld_enabled=np.bool_(False), rks_enabled=np.bool_(True))
+        assert save_bytes(model, tmp_path, "np.lfm")[1] == save_bytes(odd_model(), tmp_path)[1]
+
 
 class TestCorruption:
     def _write(self, tmp_path, blob):
@@ -225,6 +232,19 @@ class TestCorruption:
         with pytest.raises(ParseError, match=re.escape(message)) as exc:
             load_checkpoint(path)
         assert 8 < exc.value.offset <= field_at
+
+    def test_one_layer_plan_in_header(self, tmp_path):
+        # Replace odd_model's plan (8, 16, 64) with (64,): the depth read
+        # back is the plan's length, refused at the plan length's offset.
+        model = odd_model()
+        _, blob = save_bytes(model, tmp_path)
+        head_end = 8 + len(_config_payload(model))
+        head = blob[:9] + struct.pack("<II", 1, 64) + blob[25:head_end]
+        tampered = head + struct.pack("<I", zlib.crc32(head)) + blob[head_end + 4:]
+        with pytest.raises(ParseError, match="^checkpoint header: snet needs at least 2 conv "
+                                             r"layers, got 1 \(at byte 9\)$") as exc:
+            load_checkpoint(self._write(tmp_path, tampered))
+        assert exc.value.offset == 9
 
     @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
     def test_non_finite_alpha_in_header(self, tmp_path, alpha):

@@ -113,6 +113,15 @@ class TestAveragePrecision:
             assert average_precision(doubled) == base
 
 
+class TestScoreChecks:
+    @pytest.mark.parametrize("metric", [accuracy, average_precision])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_score_rejected(self, metric, bad):
+        scores = [(0.5, 0), (bad, 1), (0.2, 1), (bad, 0)]
+        with pytest.raises(DomainError, match=f"^{metric.__name__} score 1 is not finite: {bad}$"):
+            metric(scores)
+
+
 class TestEvalReport:
     def test_json_key_order(self):
         report = EvalReport(acc=0.5, ap=0.75, n_real=10, n_fake=10, params=100)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from localfocus import NprConfig, ShapeError, Tensor, npr_extract
+from localfocus import ConfigError, NprConfig, ShapeError, Tensor, npr_extract
 from localfocus.gradcheck import check_gradient
 
 
@@ -26,6 +26,13 @@ def dense_adjoint(x0, cfg, upstream):
 class TestConfig:
     def test_defaults(self):
         assert NprConfig().take_abs is True
+
+    def test_take_abs_must_be_a_bool(self):
+        with pytest.raises(ConfigError, match="^take_abs must be a bool, got 'no'$"):
+            NprConfig(take_abs="no")
+        with pytest.raises(ConfigError, match="^take_abs must be a bool, got 1$"):
+            NprConfig(take_abs=1)
+        assert not NprConfig(take_abs=np.bool_(False)).take_abs
 
 
 class TestForward:

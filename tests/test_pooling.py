@@ -62,6 +62,14 @@ class TestConfig:
             TkpConfig(k=2.5)
         assert TkpConfig(k=np.int64(3)).k == 3
 
+    @pytest.mark.parametrize("name", ["rbld_enabled", "rks_enabled"])
+    def test_switches_must_be_bools(self, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be a bool, got 'false'$"):
+            TkpConfig(**{name: "false"})
+        with pytest.raises(ConfigError, match=f"^{name} must be a bool, got 0$"):
+            TkpConfig(**{name: 0})
+        assert not getattr(TkpConfig(**{name: np.bool_(False)}), name)
+
     def test_dropout_band(self):
         with pytest.raises(ConfigError):
             TkpConfig(p_min=-0.1)

@@ -27,9 +27,16 @@ class TestConfig:
         assert cfg.kernel_sizes() == (2, 2, 2, 2, 1)
         assert cfg.pool_after == frozenset({1, 2, 3})
 
-    def test_derived_plan_for_other_depths(self):
-        assert SNetConfig(num_conv_layers=4).channel_plan == (32, 64, 64, 64)
-        assert SNetConfig(num_conv_layers=7).channel_plan == (32,) + (64,) * 6
+    def test_plan_alone_sets_the_depth(self):
+        cfg = SNetConfig(channel_plan=(8, 16, 64), pool_after=frozenset({1, 2}))
+        assert cfg.num_conv_layers == 3 and cfg.kernel_sizes() == (2, 2, 1)
+        assert cfg == SNetConfig(num_conv_layers=3, channel_plan=(8, 16, 64), pool_after=frozenset({1, 2}))
+        assert SNetConfig(channel_plan=(32,) + (64,) * 6).num_conv_layers == 7
+        assert SNetConfig().num_conv_layers == 5
+
+    def test_one_entry_plan_is_too_shallow(self):
+        with pytest.raises(ConfigError, match="^snet needs at least 2 conv layers, got 1$"):
+            SNetConfig(channel_plan=(64,))
 
     def test_plan_must_end_in_64(self):
         with pytest.raises(ConfigError):
@@ -53,7 +60,9 @@ class TestConfig:
         (dict(num_conv_layers=3.0, channel_plan=(8, 16, 64)), "num_conv_layers must be an integer, got 3.0"),
         (dict(num_conv_layers=3, channel_plan=(8.7, 16, 64)), "channel_plan entry must be an integer, got 8.7"),
         (dict(pool_after={1.5}), "pool_after entry must be an integer, got 1.5"),
-    ], ids=["depth", "channel-plan", "pool-after"])
+        (dict(num_conv_layers=True, channel_plan=(8, 16, 64)), "num_conv_layers must be an integer, got True"),
+        (dict(channel_plan=(True, 16, 64)), "channel_plan entry must be an integer, got True"),
+    ], ids=["depth", "channel-plan", "pool-after", "depth-bool", "channel-plan-bool"])
     def test_non_integer_settings_rejected(self, kwargs, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
             SNetConfig(**kwargs)
@@ -96,7 +105,7 @@ class TestShapes:
             net.forward(Tensor(np.zeros((3, 16, 16))))
 
     def test_output_channels_fixed_at_64(self):
-        for cfg in (SNetConfig(), SNetConfig(num_conv_layers=4),
+        for cfg in (SNetConfig(), SNetConfig(channel_plan=(32, 64, 64, 64)),
                     SNetConfig(num_conv_layers=6, channel_plan=(8, 16, 16, 32, 32, 64))):
             assert output_shape(cfg, 64, 64)[0] == 64
 
@@ -112,7 +121,7 @@ class TestParamCount:
         assert snet_param_count(SNetConfig()) == 45728
 
     def test_matches_brute_enumeration(self):
-        for cfg in (SNetConfig(), SNetConfig(num_conv_layers=4),
+        for cfg in (SNetConfig(), SNetConfig(channel_plan=(32, 64, 64, 64)),
                     SNetConfig(num_conv_layers=6, channel_plan=(8, 8, 16, 32, 64, 64))):
             net = SNet(cfg, np.random.default_rng(1))
             assert snet_param_count(cfg) == sum(p.data.size for p in net.parameters())
@@ -152,7 +161,7 @@ class TestForward:
 
     def test_batch_matches_loop(self):
         rng = np.random.default_rng(6)
-        net = SNet(SNetConfig(num_conv_layers=4), rng)
+        net = SNet(SNetConfig(channel_plan=(32, 64, 64, 64)), rng)
         xs = rng.random((3, 3, 32, 32))
         batched = net.forward(Tensor(xs)).data
         for i in range(3):
@@ -161,7 +170,7 @@ class TestForward:
 
     def test_gradients_reach_all_layers(self):
         rng = np.random.default_rng(7)
-        net = SNet(SNetConfig(num_conv_layers=4), rng)
+        net = SNet(SNetConfig(channel_plan=(32, 64, 64, 64)), rng)
         out = net.forward(Tensor(rng.random((3, 32, 32))))
         out.sum().backward()
         for p in net.parameters():

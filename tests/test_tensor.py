@@ -108,6 +108,13 @@ class TestArithmetic:
         op(a, b).sum().backward()
         assert a.grad is not None and b.grad is None
 
+    def test_backward_keeps_gradients_only_on_leaves(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        doubled = x * 2.0
+        doubled.sum().backward()
+        assert doubled.grad is None
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
     def test_backward_releases_the_graph(self):
         a = Tensor([2.0, -1.0], requires_grad=True)
         h = (a * 3.0).relu()

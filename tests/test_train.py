@@ -79,6 +79,14 @@ class TestTrainConfig:
             TrainConfig(**{name: 2.5})
         assert getattr(TrainConfig(**{name: np.int64(2)}), name) == 2
 
+    @pytest.mark.parametrize("name", ["rbld", "rks"])
+    def test_switches_must_be_bools_or_none(self, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be a bool, got 'false'$"):
+            TrainConfig(**{name: "false"})
+        assert getattr(TrainConfig(), name) is None
+        tkp = tiny_model(TrainConfig(**{name: np.bool_(False)})).tkp_cfg
+        assert not getattr(tkp, name + "_enabled")
+
 
 class TestTrain:
     def test_needs_nonempty_dataset(self):
@@ -206,6 +214,12 @@ class TestBench:
             bench(model, images, batch_size=0)
         with pytest.raises(ConfigError):
             bench(model, images, workers=0)
+
+    @pytest.mark.parametrize("name", ["batch_size", "workers"])
+    def test_non_integer_settings_rejected(self, name):
+        model, images = self._model_and_images()
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got 2.5$"):
+            bench(model, images, **{name: 2.5})
 
     def test_reports_throughput(self):
         model, images = self._model_and_images()

@@ -7,9 +7,9 @@ Each tree runs its own ``src/localfocus`` CLI, in its own work directory,
 with relative paths:
 
     gen-data --n-train 64 --n-test 32 --size 64 --seed 7
-    train --pooling tkp|gap --epochs 3 --batch-size 16 --seed 3 --lr 0.001
+    train --pooling tkp|gap|gmp --epochs 3 --batch-size 16 --seed 3 --lr 0.001
     eval of each run's best and last checkpoint; infer of two test images
-    train --config <run>/config_used.cfg, for both runs
+    train --config <run>/config_used.cfg, for each of the three runs
 
 Then every file either side wrote gets one line: ``identical``, or the
 largest difference. A checkpoint (read by its own tree's loader) gives
@@ -46,7 +46,7 @@ IMAGES = ("data/test_real_00000.ppm", "data/test_fake_00000.ppm")
 def commands() -> list[tuple[str, list[str]]]:
     """(name, argv) pairs in run order; names label the saved stdout."""
     cmds = [("gen-data", "gen-data --out data --n-train 64 --n-test 32 --size 64 --seed 7".split())]
-    for pool in ("tkp", "gap"):
+    for pool in ("tkp", "gap", "gmp"):
         run = f"run_{pool}"
         cmds.append((f"train-{pool}", ["train", "--manifest", "data/train_manifest.tsv",
                                         "--out", run, "--pooling", pool] + RUN))
