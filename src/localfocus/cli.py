@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (DatasetManifest, gen_fake, gen_real, load_dataset,
                    read_lines, read_manifest, write_manifest)
-from .errors import ConfigError, DomainError, ParseError, ShapeError, StateError
+from .errors import ConfigError, DomainError, ParseError, ShapeError, StateError, require_int
 from .model import DEFAULT_ALPHA, DEFAULT_THRESHOLD
 from .npr import NprConfig
 from .pooling import TkpConfig
@@ -197,14 +197,14 @@ def _cmd_gen_data(opts: dict) -> int:
         if opts[key] < 2 or opts[key] % 2 != 0:
             raise ConfigError(f"{key} must be an even count >= 2, got {opts[key]}")
     seed, size = opts["seed"], opts["size"]
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    require_int("seed", seed, minimum=0)
     out_dir = opts["out"]
-    os.makedirs(out_dir, exist_ok=True)
 
     splits = []
     for split, total, tag in (("train", opts["n_train"], 10), ("test", opts["n_test"], 20)):
         reals = gen_real(total // 2, size, np.random.default_rng((seed, tag)))
+        # Made only once gen_real has accepted the size, so a refused run leaves no directory.
+        os.makedirs(out_dir, exist_ok=True)
         fakes = gen_fake(reals, np.random.default_rng((seed, tag + 1)))
         entries = []
         for i, (r, f) in enumerate(zip(reals, fakes)):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, require_int
 from .npr import resample_2x
 from .ppm import load_ppm
 
@@ -91,10 +91,10 @@ def gen_real(n: int, size: int, rng: np.random.Generator) -> list[SampleRecord]:
     ``size`` must be even, as :func:`gen_fake` and the 2x2 residual
     grid need, and large enough to host an octave.
     """
-    if n < 1:
-        raise ConfigError(f"gen_real needs n >= 1, got {n}")
-    if size < _MIN_SIZE or size % 2 != 0:
-        raise ConfigError(f"gen_real size must be >= {_MIN_SIZE} and divisible by 2, got {size}")
+    require_int("gen_real n", n, minimum=1)
+    require_int("gen_real size", size, minimum=_MIN_SIZE)
+    if size % 2 != 0:
+        raise ConfigError(f"gen_real size must be divisible by 2, got {size}")
     base = int(rng.integers(0, 2**63 - 1))
     out = []
     for i in range(n):

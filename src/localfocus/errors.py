@@ -1,10 +1,12 @@
-"""Exception types shared across the package, and the checks `require_int` and `require_bool`.
+"""Exception types shared across the package, and the one rule per kind of
+setting that every constructor calls: `require_int`, `require_real` and `require_bool`.
 
 All of these derive from ValueError (except StateError) so callers that
 just want "reject bad input" can catch one base class, while the CLI can
 map each to a specific exit code.
 """
 
+import math
 import numbers
 
 import numpy as np
@@ -46,11 +48,21 @@ class StateError(RuntimeError):
         self.index = index
 
 
-def require_int(name: str, *values) -> None:
-    """Raise a ConfigError naming ``name`` unless every value is an integer (a bool is not)."""
+def require_int(name: str, *values, minimum: int | None = None) -> None:
+    """Raise a ConfigError naming ``name`` unless each value is an int (not a bool) and >= any ``minimum``."""
     for value in values:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+
+
+def require_real(name: str, value, low: float = 0.0, high: float = math.inf) -> None:
+    """Raise a ConfigError naming ``name`` unless ``value`` is a finite real (not a bool) in [low, high]."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not low <= value <= high or value == math.inf):
+        bound = "" if high == math.inf else f" and <= {high:g}"
+        raise ConfigError(f"{name} must be finite and >= {low:g}{bound}, got {value!r}")
 
 
 def require_bool(name: str, value) -> None:

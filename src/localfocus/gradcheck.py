@@ -5,11 +5,11 @@ Central differences with step h on a scalar-valued function:
     df/dx_i ~ (f(x + h e_i) - f(x - h e_i)) / (2 h)
 
 Comparisons use the relative error |a - n| / max(|a|, |n|, 1), which
-behaves sensibly when both gradients are tiny. Coordinates whose value
-sits within ``exclude_radius`` of a non-smooth point (kinks of abs/relu,
-pooling or top-k selection boundaries) must be skipped by the caller via
-``mask``; central differences straddle the kink there and measure the
-wrong one-sided slope no matter how correct the analytic gradient is.
+behaves sensibly when both gradients are tiny. The caller keeps out
+coordinates within h of a non-smooth point (kinks of abs/relu, pooling
+or top-k selection boundaries), through ``mask`` or by picking inputs
+away from every kink and tie; central differences straddle the kink
+there and measure the wrong one-sided slope however right the analytic gradient is.
 """
 
 from __future__ import annotations

@@ -12,12 +12,11 @@ three numbers and the decomposition is exact by construction.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError, require_int
+from .errors import ConfigError, DomainError, ShapeError, require_int, require_real
 from .npr import NprConfig, npr_extract
 from .ops import bce_loss_mean, linear
 from .pooling import TkpConfig, gap_pool, gmp_pool, tkp_pool
@@ -87,13 +86,9 @@ class LfmModel:
                  seed: int = 0):
         if pooling not in POOLING_VARIANTS:
             raise ConfigError(f"unknown pooling variant {pooling!r}; supported: {POOLING_VARIANTS}")
-        if not 0.0 <= decision_threshold <= 1.0:
-            raise ConfigError(f"decision_threshold must lie in [0, 1], got {decision_threshold}")
-        if not 0.0 <= alpha < math.inf:
-            raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
-        require_int("seed", seed)
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
+        require_real("decision_threshold", decision_threshold, high=1.0)
+        require_real("alpha", alpha)
+        require_int("seed", seed, minimum=0)
         self.npr_cfg = npr_cfg or NprConfig()
         self.snet_cfg = snet_cfg or SNetConfig()
         self.tkp_cfg = tkp_cfg or TkpConfig()

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError, require_int
 from .tensor import Tensor
 
 _LOG_CLAMP = 1e-12
@@ -50,10 +50,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
     Implemented as im2col + one matmul; backward scatters through the
     same column layout.
     """
-    if stride < 1:
-        raise ConfigError(f"conv2d stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise ConfigError(f"conv2d padding must be >= 0, got {padding}")
+    require_int("conv2d stride", stride, minimum=1)
+    require_int("conv2d padding", padding, minimum=0)
     if weight.data.ndim != 4:
         raise ShapeError(f"conv2d weight must be Cout x Cin x kh x kw, got rank {weight.data.ndim}")
     xd, squeeze = _as_batch(x.data, "conv2d input")
@@ -106,8 +104,7 @@ def maxpool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
     Ties resolve to the first element in row-major window order (numpy
     argmax convention), and the gradient routes to each window's winner.
     """
-    if k < 1:
-        raise ConfigError(f"maxpool2d window must be >= 1, got {k}")
+    require_int("maxpool2d window", k, minimum=1)
     if stride != k:
         raise ConfigError(f"maxpool2d windows must tile: stride {stride} != window {k}")
     xd, squeeze = _as_batch(x.data, "maxpool2d input")

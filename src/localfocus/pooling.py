@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, require_bool, require_int
+from .errors import ConfigError, ShapeError, require_bool, require_int, require_real
 from .tensor import Tensor
 
 
@@ -60,12 +60,12 @@ class TkpConfig:
     rks_enabled: bool = True
 
     def __post_init__(self):
-        require_int("tkp k", self.k)
+        require_int("tkp k", self.k, minimum=1)
+        require_real("p_min", self.p_min)
+        require_real("p_max", self.p_max)
         require_bool("rbld_enabled", self.rbld_enabled)
         require_bool("rks_enabled", self.rks_enabled)
-        if self.k < 1:
-            raise ConfigError(f"tkp k must be >= 1, got {self.k}")
-        if not (0.0 <= self.p_min <= self.p_max < 1.0):
+        if not self.p_min <= self.p_max < 1.0:
             raise ConfigError(
                 f"tkp dropout band must satisfy 0 <= p_min <= p_max < 1, got [{self.p_min}, {self.p_max}]"
             )

@@ -21,6 +21,7 @@ texture, not global layout.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,24 +51,25 @@ class SNetConfig:
     pool_after: frozenset[int] = frozenset({1, 2, 3})
 
     def __post_init__(self):
+        for name, value in (("channel_plan", self.channel_plan), ("pool_after", self.pool_after)):
+            if not isinstance(value, Collection) or getattr(value, "ndim", 1) != 1:
+                raise ConfigError(f"{name} must be a collection of integers, got {value!r}")
         depth = len(self.channel_plan) if self.num_conv_layers is None else self.num_conv_layers
         require_int("num_conv_layers", depth)
         if depth < 2:
             raise ConfigError(f"snet needs at least 2 conv layers, got {depth}")
-        require_int("channel_plan entry", *self.channel_plan)
+        require_int("channel_plan entry", *self.channel_plan, minimum=1)
         plan = tuple(int(c) for c in self.channel_plan)
         if len(plan) != depth:
             raise ConfigError(f"channel_plan length {len(plan)} != num_conv_layers {depth}")
         object.__setattr__(self, "channel_plan", plan)
         object.__setattr__(self, "num_conv_layers", len(plan))
-        if any(c < 1 for c in plan):
-            raise ConfigError(f"channel_plan entries must be positive, got {plan}")
         if plan[-1] != OUT_CHANNELS:
             raise ConfigError(f"channel_plan must end in {OUT_CHANNELS}, got {plan[-1]}")
-        require_int("pool_after entry", *self.pool_after)
+        require_int("pool_after entry", *self.pool_after, minimum=1)
         pool = frozenset(int(i) for i in self.pool_after)
         object.__setattr__(self, "pool_after", pool)
-        if any(i < 1 or i > self.num_conv_layers for i in pool):
+        if any(i > self.num_conv_layers for i in pool):
             raise ConfigError(f"pool_after indices must lie in [1, {self.num_conv_layers}], got {sorted(pool)}")
 
     def kernel_sizes(self) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import SampleRecord
-from .errors import ConfigError, DomainError, StateError, require_bool, require_int
+from .errors import ConfigError, DomainError, StateError, require_bool, require_int, require_real
 from .metrics import EvalReport, accuracy, average_precision
 from .model import POOLING_VARIANTS, LfmModel, total_param_count
 from .optim import Adam
@@ -46,19 +46,13 @@ class TrainConfig:
     rks: bool | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.lr < np.inf:
-            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
-        for name in ("batch_size", "epochs", "seed"):
-            require_int(name, getattr(self, name))
+        require_real("lr", self.lr)
+        require_int("batch_size", self.batch_size, minimum=1)
+        require_int("epochs", self.epochs, minimum=1)
+        require_int("seed", self.seed, minimum=0)
         for name in ("rbld", "rks"):
             if getattr(self, name) is not None:
                 require_bool(name, getattr(self, name))
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.pooling not in POOLING_VARIANTS:
             raise ConfigError(f"unknown pooling variant {self.pooling!r}")
         if self.pooling != "tkp" and (self.rbld or self.rks):
@@ -177,10 +171,8 @@ def bench(model: LfmModel, images: list[np.ndarray], batch_size: int = 32,
     """
     if len(images) < 100:
         raise DomainError(f"bench needs >= 100 images for stable timing, got {len(images)}")
-    for name, value in (("batch_size", batch_size), ("workers", workers)):
-        require_int(name, value)
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
+    require_int("batch_size", batch_size, minimum=1)
+    require_int("workers", workers, minimum=1)
 
     for img in images[:8]:
         model.score(img)

@@ -181,6 +181,16 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "seed must be >= 0, got -1" in err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("size, message", [("33", "gen_real size must be divisible by 2, got 33"),
+                                               ("16", "gen_real size must be >= 32, got 16")])
+    def test_refused_gen_data_size_leaves_no_directory(self, tmp_path, size, message, capsys):
+        rc = main(["gen-data", "--out", str(tmp_path / "d"), "--size", size,
+                   "--n-train", "4", "--n-test", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not (tmp_path / "d").exists()
+
     def test_overlong_ppm_integer_is_exit_2(self, workspace, tmp_path, capsys):
         image = tmp_path / "wide.ppm"
         image.write_bytes(b"P6\n" + b"9" * 5000 + b" 1\n255\n" + bytes(3))

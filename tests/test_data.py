@@ -55,6 +55,15 @@ class TestGenReal:
         with pytest.raises(ConfigError):
             gen_real(1, 16, rng)  # too small
 
+    @pytest.mark.parametrize("n, size, message", [
+        (2.5, 32, "gen_real n must be an integer, got 2.5"),
+        (2, 34.0, "gen_real size must be an integer, got 34.0"),
+    ], ids=["n-float", "size-float"])
+    def test_non_integer_settings_rejected(self, n, size, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            gen_real(n, size, np.random.default_rng(0))
+        assert len(gen_real(np.int64(1), np.int32(32), np.random.default_rng(0))) == 1
+
 
 class TestGenFake:
     def test_labels_and_tags(self):

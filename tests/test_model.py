@@ -33,9 +33,16 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             LfmModel(decision_threshold=1.5)
 
-    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("threshold", ["0.5", True, float("nan"), -0.1])
+    def test_threshold_must_be_a_real_number_in_the_unit_range(self, threshold):
+        with pytest.raises(ConfigError, match=f"^decision_threshold must be finite and >= 0 and <= 1, "
+                                              f"got {threshold!r}$"):
+            LfmModel(decision_threshold=threshold)
+        assert LfmModel(decision_threshold=np.float64(1.0), alpha=np.int64(0)).alpha == 0.0
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -1.0, "0.5"])
     def test_alpha_must_be_finite_and_non_negative(self, alpha):
-        with pytest.raises(ConfigError, match=f"alpha must be finite and >= 0, got {alpha}"):
+        with pytest.raises(ConfigError, match=f"alpha must be finite and >= 0, got {alpha!r}"):
             LfmModel(alpha=alpha)
 
     def test_negative_seed_rejected(self):

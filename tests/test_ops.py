@@ -92,6 +92,14 @@ class TestConv2d:
         with pytest.raises(ConfigError):
             conv2d(x, w, b, padding=-1)
 
+    @pytest.mark.parametrize("name, value", [("stride", 1.5), ("padding", 0.5), ("stride", True)])
+    def test_non_integer_settings_rejected(self, name, value):
+        x = Tensor(np.zeros((1, 4, 4)))
+        w, b = Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros(1))
+        with pytest.raises(ConfigError, match=f"^conv2d {name} must be an integer, got {value}$"):
+            conv2d(x, w, b, **{name: value})
+        assert conv2d(x, w, b, stride=np.int64(1), padding=np.int32(0)).shape == (1, 3, 3)
+
     def test_bias_required(self):
         with pytest.raises(TypeError):
             conv2d(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))))
@@ -216,6 +224,14 @@ class TestMaxPool2d:
     def test_windows_must_tile(self):
         with pytest.raises(ConfigError, match="must tile"):
             maxpool2d(Tensor(np.zeros((1, 4, 4))), k=2, stride=1)
+
+    def test_window_must_be_a_positive_integer(self):
+        x = Tensor(np.zeros((1, 4, 4)))
+        with pytest.raises(ConfigError, match="^maxpool2d window must be an integer, got 2.0$"):
+            maxpool2d(x, 2.0, 2.0)
+        with pytest.raises(ConfigError, match="^maxpool2d window must be >= 1, got 0$"):
+            maxpool2d(x, 0, 0)
+        assert maxpool2d(x, np.int64(2), np.int64(2)).shape == (1, 2, 2)
 
     def test_batched_matches_looped(self):
         rng = np.random.default_rng(6)

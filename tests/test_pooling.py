@@ -70,6 +70,14 @@ class TestConfig:
             TkpConfig(**{name: 0})
         assert not getattr(TkpConfig(**{name: np.bool_(False)}), name)
 
+    @pytest.mark.parametrize("name", ["p_min", "p_max"])
+    @pytest.mark.parametrize("value", ["0.1", True, float("nan")], ids=["str", "bool", "nan"])
+    def test_band_ends_must_be_real_numbers(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite and >= 0, got {value!r}$"):
+            TkpConfig(**{name: value})
+        cfg = TkpConfig(p_min=np.float64(0.1), p_max=np.float32(0.25))
+        assert (cfg.p_min, cfg.p_max) == (0.1, 0.25)
+
     def test_dropout_band(self):
         with pytest.raises(ConfigError):
             TkpConfig(p_min=-0.1)

@@ -68,9 +68,9 @@ class TestTrainConfig:
             TrainConfig(pooling="gap", rbld=True)
 
 
-    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), "1e-3", True])
     def test_lr_must_be_finite(self, lr):
-        with pytest.raises(ConfigError, match=f"lr must be finite and >= 0, got {lr}"):
+        with pytest.raises(ConfigError, match=f"lr must be finite and >= 0, got {lr!r}"):
             TrainConfig(lr=lr)
 
     @pytest.mark.parametrize("name", ["batch_size", "epochs", "seed"])
