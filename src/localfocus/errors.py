@@ -57,12 +57,12 @@ def require_int(name: str, *values, minimum: int | None = None) -> None:
             raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
-def require_real(name: str, value, low: float = 0.0, high: float = math.inf) -> None:
-    """Raise a ConfigError naming ``name`` unless ``value`` is a finite real (not a bool) in [low, high]."""
+def require_real(name: str, value, high: float = math.inf) -> None:
+    """Raise a ConfigError naming ``name`` unless ``value`` is a finite real (not a bool) in [0, high]."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not low <= value <= high or value == math.inf):
+            or not 0 <= value <= high or value == math.inf):
         bound = "" if high == math.inf else f" and <= {high:g}"
-        raise ConfigError(f"{name} must be finite and >= {low:g}{bound}, got {value!r}")
+        raise ConfigError(f"{name} must be finite and >= 0{bound}, got {value!r}")
 
 
 def require_bool(name: str, value) -> None:
