@@ -72,8 +72,6 @@ def _format_value(value, parse) -> str:
         return "true" if value else "false"
     if parse is _intlist:
         return ",".join(str(v) for v in value)
-    if parse is float:
-        return repr(float(value))
     return str(value)
 
 
@@ -194,8 +192,9 @@ def _cmd_gen_data(opts: dict) -> int:
     import numpy as np
 
     for key in ("n_train", "n_test"):
-        if opts[key] < 2 or opts[key] % 2 != 0:
-            raise ConfigError(f"{key} must be an even count >= 2, got {opts[key]}")
+        require_int(key, opts[key], minimum=2)
+        if opts[key] % 2:
+            raise ConfigError(f"{key} must be even, got {opts[key]}")
     seed, size = opts["seed"], opts["size"]
     require_int("seed", seed, minimum=0)
     out_dir = opts["out"]

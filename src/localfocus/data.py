@@ -159,7 +159,12 @@ class DatasetManifest:
 
 
 def write_manifest(manifest: DatasetManifest, path: str) -> None:
-    """Write tab-separated ``path<TAB>label<TAB>source_tag`` lines (UTF-8, LF)."""
+    """Write tab-separated ``path<TAB>label<TAB>source_tag`` lines (UTF-8, LF);
+    a path or tag holding a tab, CR, LF or NUL, which ``read_manifest``
+    would refuse, raises ConfigError before the file is opened."""
+    for i, (p, _label, tag) in enumerate(manifest.entries):
+        if any(c in p + tag for c in "\t\r\n\0"):
+            raise ConfigError(f"manifest entry {i} holds a tab, CR, LF or NUL: {p!r}, {tag!r}")
     lines = [f"{p}\t{label}\t{tag}\n" for p, label, tag in manifest.entries]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(lines)

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the one rule per kind of
-setting that every constructor calls: `require_int`, `require_real` and `require_bool`.
+"""Exception types shared across the package, the one rule per kind of
+setting that every constructor calls: `require_int`, `require_real` and `require_bool`,
+and `require_finite_pixels` for images on their way to a score or a file.
 
 All of these derive from ValueError (except StateError) so callers that
 just want "reject bad input" can catch one base class, while the CLI can
@@ -63,6 +64,13 @@ def require_real(name: str, value, high: float = math.inf) -> None:
             or not 0 <= value <= high or value == math.inf):
         bound = "" if high == math.inf else f" and <= {high:g}"
         raise ConfigError(f"{name} must be finite and >= 0{bound}, got {value!r}")
+
+
+def require_finite_pixels(what: str, image: np.ndarray) -> None:
+    """Raise a DomainError naming ``what`` and the position of its first NaN or infinite pixel."""
+    if not np.isfinite(image).all():
+        where = tuple(int(j) for j in np.argwhere(~np.isfinite(image))[0])
+        raise DomainError(f"{what} has a non-finite pixel {image[where]} at {where}")
 
 
 def require_bool(name: str, value) -> None:

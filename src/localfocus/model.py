@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError, require_int, require_real
+from .errors import ConfigError, DomainError, ShapeError, require_finite_pixels, require_int, require_real
 from .npr import NprConfig, npr_extract
 from .ops import bce_loss_mean, linear
 from .pooling import TkpConfig, gap_pool, gmp_pool, tkp_pool
@@ -52,9 +52,7 @@ def _batch(images) -> np.ndarray:
             raise ShapeError(f"image {i} must be one 3xHxW image, got rank {im.ndim}")
         if im.shape != images[0].shape:
             raise ShapeError(f"image {i} has shape {im.shape}, unlike image 0 with {images[0].shape}")
-        if not np.isfinite(im).all():
-            where = tuple(int(j) for j in np.argwhere(~np.isfinite(im))[0])
-            raise DomainError(f"image {i} has a non-finite pixel {im[where]} at {where}")
+        require_finite_pixels(f"image {i}", im)
     return np.stack(images)
 
 

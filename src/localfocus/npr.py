@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, require_bool
+from .ops import _as_batch
 from .tensor import Tensor
 
 
@@ -59,8 +60,7 @@ def npr_extract(image: Tensor, cfg: NprConfig = NprConfig()) -> Tensor:
     has the same shape. Anchor positions are exactly zero by
     construction.
     """
-    if image.data.ndim not in (3, 4):
-        raise ShapeError(f"npr_extract input must be CxHxW or NxCxHxW, got rank {image.data.ndim}")
+    _as_batch(image.data, "npr_extract input")
     out = Tensor._wrap(_residual(image.data), (image,), lambda g: (_residual_backward(g),))
     return out.abs() if cfg.take_abs else out
 

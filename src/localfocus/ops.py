@@ -1,10 +1,10 @@
 """Differentiable neural-net primitives on top of :class:`Tensor`.
 
-All ops run in float64. ``conv2d`` and ``maxpool2d`` take a single
-``C x H x W`` image or an ``N x C x H x W`` batch; the batched path
-computes the same arithmetic as looping the single-image path (equal to
-float64 roundoff; BLAS may block the larger matmul differently) and
-exists for speed: one im2col matmul per layer instead of N.
+All ops run in float64. ``conv2d`` and ``maxpool2d`` take an
+``N x C x H x W`` batch, or one ``C x H x W`` image run as a batch of one
+(its output has no batch axis). A batch gives the same arithmetic as a
+loop over its images (equal to float64 roundoff; BLAS may block the
+larger matmul differently) from one im2col matmul per layer instead of N.
 
 ``conv2d`` works channels-last (NHWC, PyTorch's "channels_last"): it
 copies each k x k window of the NHWC view of its input into one im2col
@@ -33,13 +33,11 @@ from .tensor import Tensor
 _LOG_CLAMP = 1e-12
 
 
-def _as_batch(data: np.ndarray, what: str) -> tuple[np.ndarray, bool]:
-    """Return a 4-D view of ``data`` plus whether a batch axis was added."""
-    if data.ndim == 3:
-        return data[None], True
-    if data.ndim == 4:
-        return data, False
-    raise ShapeError(f"{what} must be CxHxW or NxCxHxW, got rank {data.ndim}")
+def _as_batch(data: np.ndarray, what: str) -> np.ndarray:
+    """Return a 4-D view of a CxHxW image or an NxCxHxW batch."""
+    if data.ndim not in (3, 4):
+        raise ShapeError(f"{what} must be CxHxW or NxCxHxW, got rank {data.ndim}")
+    return data if data.ndim == 4 else data[None]
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
@@ -54,7 +52,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
     require_int("conv2d padding", padding, minimum=0)
     if weight.data.ndim != 4:
         raise ShapeError(f"conv2d weight must be Cout x Cin x kh x kw, got rank {weight.data.ndim}")
-    xd, squeeze = _as_batch(x.data, "conv2d input")
+    xd = _as_batch(x.data, "conv2d input")
     n, cin, h, w = xd.shape
     cout, cin_w, kh, kw = weight.data.shape
     if cin != cin_w:
@@ -79,12 +77,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
     wmat = weight.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
     flat = col @ wmat.T
     flat += bias.data
-    out_data = flat.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
-    if squeeze:
-        out_data = out_data[0]
+    out_data = flat.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2).reshape(x.data.shape[:-3] + (cout, ho, wo))
 
     def vjp(g):
-        gmat = (g[None] if squeeze else g).transpose(0, 2, 3, 1).reshape(n * ho * wo, cout)
+        gmat = g.reshape(n, cout, ho, wo).transpose(0, 2, 3, 1).reshape(n * ho * wo, cout)
         dx = None
         if x.requires_grad:  # conv1 reads the residual, which needs none
             dcol = (gmat @ wmat).reshape(n, ho, wo, kh, kw, cin)
@@ -107,7 +103,7 @@ def maxpool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
     require_int("maxpool2d window", k, minimum=1)
     if stride != k:
         raise ConfigError(f"maxpool2d windows must tile: stride {stride} != window {k}")
-    xd, squeeze = _as_batch(x.data, "maxpool2d input")
+    xd = _as_batch(x.data, "maxpool2d input")
     n, c, h, w = xd.shape
     if h < k:
         raise ShapeError(f"maxpool2d height axis too small: extent {h} < window {k}")
@@ -129,7 +125,7 @@ def maxpool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
             free ^= hit
         return (dx.reshape(x.data.shape),)
 
-    return Tensor._wrap(pooled[0] if squeeze else pooled, (x,), vjp)
+    return Tensor._wrap(pooled.reshape(x.data.shape[:-2] + (ho, wo)), (x,), vjp)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

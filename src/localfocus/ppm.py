@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 
-from .errors import ParseError, ShapeError
+from .errors import ParseError, ShapeError, require_finite_pixels
 
 # Header separators (ASCII whitespace, and '#' comments to the end of the
 # line), then one token. The token is empty only at the end of the data.
@@ -20,10 +20,12 @@ _TOKEN = re.compile(rb"(?:\s|#[^\n]*)*([^\s#]*)")
 
 
 def save_ppm(image: np.ndarray, path: str) -> None:
-    """Write a (3, H, W) [0, 1] float image as binary P6."""
+    """Write a (3, H, W) [0, 1] float image as binary P6; a non-finite
+    pixel raises DomainError before the file is opened."""
     image = np.asarray(image)
     if image.ndim != 3 or image.shape[0] != 3:
         raise ShapeError(f"save_ppm expects a (3, H, W) image, got {image.shape}")
+    require_finite_pixels("save_ppm image", image)
     q = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
     h, w = image.shape[1], image.shape[2]
     header = f"P6\n{w} {h}\n255\n".encode("ascii")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, require_int
-from .ops import conv2d, maxpool2d
+from .ops import _as_batch, conv2d, maxpool2d
 from .tensor import Tensor
 
 IN_CHANNELS = 3
@@ -123,8 +123,7 @@ class SNet:
 
     def forward(self, x: Tensor) -> Tensor:
         """Run the stack on residual features (CxHxW or NxCxHxW)."""
-        if x.data.ndim not in (3, 4):
-            raise ShapeError(f"snet input must be CxHxW or NxCxHxW, got rank {x.data.ndim}")
+        _as_batch(x.data, "snet input")
         if x.data.shape[-3] != IN_CHANNELS:
             raise ShapeError(f"snet expects {IN_CHANNELS} input channels, got {x.data.shape[-3]}")
         # Chase shapes up front so a too-small input names the failing stage

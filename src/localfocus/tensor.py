@@ -4,7 +4,7 @@ An op computes its value and hands ``Tensor._wrap`` a vector-Jacobian
 product: ``vjp(g)`` maps the output gradient ``g`` to one gradient per
 parent, in order, and may return ``None`` only for a parent that needs none.
 ``_wrap`` alone records the graph edge, and only when some parent requires
-gradients. ``Tensor.backward`` walks the recorded graph once in reverse
+gradients. ``Tensor.backward`` walks it once from a scalar root in reverse
 topological order, releasing each node as it goes; only leaves (parameters,
 inputs) keep ``.grad``. The model's parameters require gradients, so
 inference (``LfmModel.score``) records a graph too, about 15 nodes per call.
@@ -91,12 +91,8 @@ class Tensor:
 
     # -- autograd engine --------------------------------------------------
 
-    def backward(self, grad: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor through the recorded graph, then
-        release it.
-
-        ``grad`` defaults to ones and may only be omitted for
-        single-element tensors.
+    def backward(self) -> None:
+        """Backpropagate from this single-element root (gradient one), then release the graph.
 
         Each node's closure, parent links and (for an op output) gradient
         are dropped right after its closure runs. A closure captures the
@@ -107,15 +103,8 @@ class Tensor:
         """
         if not self.requires_grad:
             return
-        if grad is None:
-            if self.data.size != 1:
-                raise ShapeError(
-                    f"backward() without an explicit gradient needs a scalar, got shape {self.shape}"
-                )
-            grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=np.float64)
-        if grad.shape != self.data.shape:
-            raise ShapeError(f"gradient shape {grad.shape} does not match tensor shape {self.shape}")
+        if self.data.size != 1:
+            raise ShapeError(f"backward() needs a single-element tensor, got shape {self.shape}")
 
         topo: list[Tensor] = []
         seen: set[int] = set()
@@ -133,7 +122,7 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
 
-        self._accumulate(grad)
+        self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward()

@@ -258,7 +258,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("line, message", [
         ("epochz = 3", "unknown config key 'epochz' (valid keys: "),
         ("epochs = soon", "config key 'epochs': cannot parse 'soon' as int"),
-    ], ids=["unknown-key", "bad-value"])
+        ("= 3", "bad.cfg:3: empty key"),
+    ], ids=["unknown-key", "bad-value", "empty-key"])
     def test_config_key_error_carries_line_offset(self, tmp_path, line, message, capsys):
         # The third line starts at byte 25.
         cfg = tmp_path / "bad.cfg"

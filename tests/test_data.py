@@ -120,6 +120,12 @@ class TestGenFake:
         with pytest.raises(ConfigError):
             gen_fake([], np.random.default_rng(0))
 
+    @pytest.mark.parametrize("shape", [(3, 5, 6), (3, 6, 5), (6, 6)])
+    def test_odd_or_flat_image_rejected(self, shape):
+        rec = SampleRecord(image=np.zeros(shape), label=0, source_tag="x")
+        with pytest.raises(ConfigError, match=r"^gen_fake needs \(C, even, even\) images, got "):
+            gen_fake([rec], np.random.default_rng(0))
+
 
 class TestManifest:
     def _sample_manifest(self, tmp_path):
@@ -199,6 +205,17 @@ class TestManifest:
         with pytest.raises(ParseError, match="UTF-8") as exc:
             read_manifest(str(path))
         assert exc.value.offset == 11
+
+    @pytest.mark.parametrize("name, tag", [("a\tb.ppm", "t"), ("a\n.ppm", "t"),
+                                           ("a.ppm", "t\r"), ("a.ppm", "t\0")],
+                             ids=["tab", "lf", "cr", "nul"])
+    def test_field_break_refused_before_writing(self, tmp_path, name, tag):
+        # read_manifest would split such an entry into more fields or lines.
+        manifest = DatasetManifest(root=str(tmp_path), entries=[("ok.ppm", 0, "t"), (name, 1, tag)])
+        path = tmp_path / "split.tsv"
+        with pytest.raises(ConfigError, match="^manifest entry 1 holds a tab, CR, LF or NUL: "):
+            write_manifest(manifest, str(path))
+        assert not path.exists()
 
     def test_nul_byte_is_a_parse_error_at_its_byte(self, tmp_path):
         # open() refuses a path holding NUL with a bare ValueError.

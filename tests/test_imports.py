@@ -97,7 +97,7 @@ def test_only_tensor_wires_gradients_into_the_graph():
 
 def hand_written_range_messages(source: str) -> list[int]:
     """Lines of ``source`` that build a ``ConfigError`` whose message text
-    holds "must be >= " or "must be finite": a floor or range check that
+    holds " >= " or "must be finite": a floor or range check that
     ``require_int`` or ``require_real`` should make."""
     lines = []
     for node in ast.walk(ast.parse(source)):
@@ -105,15 +105,16 @@ def hand_written_range_messages(source: str) -> list[int]:
                 and node.func.id == "ConfigError"):
             text = "".join(part.value for arg in node.args for part in ast.walk(arg)
                            if isinstance(part, ast.Constant) and isinstance(part.value, str))
-            if "must be >= " in text or "must be finite" in text:
+            if " >= " in text or "must be finite" in text:
                 lines.append(node.lineno)
     return sorted(lines)
 
 
 def test_only_errors_states_integer_floors_and_finite_ranges():
     # Each kind of setting has one rule, in errors.py; constructors call it.
-    src = 'def f(k):\n    raise ConfigError(f"k must be >= 1, got {k}")\nConfigError("x must be finite")\n'
-    assert hand_written_range_messages(src) == [2, 3]
+    src = ('def f(k):\n    raise ConfigError(f"k must be >= 1, got {k}")\nConfigError("x must be finite")\n'
+           'ConfigError(f"n must be an even count >= 2, got {n}")\nConfigError("k must be even")\n')
+    assert hand_written_range_messages(src) == [2, 3, 4]
     offenders = {p.name: hand_written_range_messages(p.read_text(encoding="utf-8"))
                  for p in SOURCES if p.name != "errors.py"}
     assert {name: lines for name, lines in offenders.items() if lines} == {}

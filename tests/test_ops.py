@@ -1,5 +1,7 @@
 """Conv/pool/linear/loss kernels: frozen values, shape law, gradients."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,18 @@ class TestConv2d:
         with pytest.raises(TypeError):
             conv2d(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))))
 
+    @pytest.mark.parametrize("x_shape, w_shape, b_shape, message", [
+        ((4, 4), (1, 1, 2, 2), (1,), "conv2d input must be CxHxW or NxCxHxW, got rank 2"),
+        ((1, 1, 1, 4, 4), (1, 1, 2, 2), (1,), "conv2d input must be CxHxW or NxCxHxW, got rank 5"),
+        ((1, 4, 4), (1, 1, 2), (1,), "conv2d weight must be Cout x Cin x kh x kw, got rank 3"),
+        ((1, 4, 4), (1, 1, 0, 2), (1,), "conv2d kernel must be at least 1x1, got 0x2"),
+        ((1, 4, 4), (1, 1, 2, 2), (2,), "conv2d bias must have shape (1,), got (2,)"),
+        ((1, 4, 2), (1, 1, 3, 3), (1,), "conv2d width axis too small: padded extent 2 < kernel 3"),
+    ], ids=["rank-2", "rank-5", "weight-rank", "empty-kernel", "bias-shape", "narrow"])
+    def test_shape_errors_name_the_failure(self, x_shape, w_shape, b_shape, message):
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            conv2d(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), Tensor(np.zeros(b_shape)))
+
     def test_batched_matches_looped(self):
         rng = np.random.default_rng(4)
         xs = rng.normal(size=(3, 2, 6, 6))
@@ -126,7 +140,7 @@ class TestConv2d:
         x = Tensor(x0, requires_grad=True)
         w = Tensor(w0, requires_grad=True)
         b = Tensor(b0, requires_grad=True)
-        conv2d(x, w, b, stride=stride, padding=padding).backward(upstream)
+        (conv2d(x, w, b, stride=stride, padding=padding) * Tensor(upstream)).sum().backward()
 
         def f_of(which):
             def f(arr):
@@ -148,9 +162,9 @@ class TestConv2d:
         values = (rng.normal(size=(2, 3, 6, 6)), rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4))
         up = rng.normal(size=(2, 4, 4, 4))
         full = [Tensor(v, requires_grad=True) for v in values]
-        conv2d(*full).backward(up)
+        (conv2d(*full) * Tensor(up)).sum().backward()
         part = [Tensor(v, requires_grad=i != constant) for i, v in enumerate(values)]
-        conv2d(*part).backward(up)
+        (conv2d(*part) * Tensor(up)).sum().backward()
         for i, (f, p) in enumerate(zip(full, part)):
             if i == constant:
                 assert p.grad is None
@@ -172,7 +186,7 @@ class TestConv2d:
         for xd in (x0, x_cl):
             x, w, b = (Tensor(a, requires_grad=True) for a in (xd, w0, b0))
             out = conv2d(x, w, b, stride=stride, padding=padding)
-            out.backward(np.random.default_rng(10).normal(size=out.shape))
+            (out * Tensor(np.random.default_rng(10).normal(size=out.shape))).sum().backward()
             results.append((out.data, x.grad, w.grad, b.grad))
         for a, b in zip(*results):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
@@ -214,12 +228,20 @@ class TestMaxPool2d:
 
     def test_tie_routes_to_first_row_major(self):
         x = Tensor(np.zeros((1, 2, 2)), requires_grad=True)
-        maxpool2d(x).backward(np.ones((1, 1, 1)))
+        (maxpool2d(x) * Tensor(np.ones((1, 1, 1)))).sum().backward()
         np.testing.assert_array_equal(x.grad[0], [[1.0, 0.0], [0.0, 0.0]])
 
     def test_window_larger_than_input(self):
         with pytest.raises(ShapeError):
             maxpool2d(Tensor(np.zeros((1, 1, 4))), k=2)
+
+    @pytest.mark.parametrize("shape, message", [
+        ((1, 4, 1), "maxpool2d width axis too small: extent 1 < window 2"),
+        ((4, 4), "maxpool2d input must be CxHxW or NxCxHxW, got rank 2"),
+    ], ids=["narrow", "rank-2"])
+    def test_shape_errors_name_the_failure(self, shape, message):
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            maxpool2d(Tensor(np.zeros(shape)))
 
     def test_windows_must_tile(self):
         with pytest.raises(ConfigError, match="must tile"):
@@ -250,7 +272,7 @@ class TestMaxPool2d:
                 np.linspace(0.0, 0.04, x0.size)).reshape(x0.shape)
             upstream = rng.normal(size=(2, 3, 3))
             x = Tensor(x0, requires_grad=True)
-            maxpool2d(x).backward(upstream)
+            (maxpool2d(x) * Tensor(upstream)).sum().backward()
 
             def f(arr):
                 return float((maxpool2d(Tensor(arr)).data * upstream).sum())
@@ -269,7 +291,7 @@ class TestMaxPool2d:
             x = Tensor(x0, requires_grad=True)
             out = maxpool2d(x, k=k, stride=stride)
             upstream = rng.normal(size=out.data.shape)
-            out.backward(upstream)
+            (out * Tensor(upstream)).sum().backward()
             ref_out, ref_dx = oracle_maxpool2d(x0, upstream, k, stride)
             # Values compare equal; which of two signed zeros a tie keeps
             # is left to np.maximum, so the forward is not compared as bytes.
@@ -292,7 +314,7 @@ class TestMaxPool2d:
         for stages in ((maxpool2d, Tensor.relu), (Tensor.relu, maxpool2d)):
             x = Tensor(x0, requires_grad=True)
             out = stages[1](stages[0](x))
-            out.backward(upstream)
+            (out * Tensor(upstream)).sum().backward()
             results.append((out.data.tobytes(), (x.grad + 0.0).tobytes()))
         assert results[0] == results[1]
 
@@ -328,6 +350,15 @@ class TestLinear:
         with pytest.raises(TypeError):
             linear(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4))))
 
+    @pytest.mark.parametrize("w_shape, b_shape, message", [
+        ((2, 4), (1,), "linear weight must have shape (1, N), got (2, 4)"),
+        ((4,), (1,), "linear weight must have shape (1, N), got (4,)"),
+        ((1, 4), (2,), "linear bias must have shape (1,), got (2,)"),
+    ], ids=["two-rows", "rank-1", "bias-shape"])
+    def test_parameter_shapes_checked(self, w_shape, b_shape, message):
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            linear(Tensor(np.zeros((1, 4))), Tensor(np.zeros(w_shape)), Tensor(np.zeros(b_shape)))
+
     def test_constant_input_stays_gradient_free(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
         w = Tensor([[0.5, -1.0, 2.0]], requires_grad=True)
@@ -346,7 +377,7 @@ class TestLinear:
         x = Tensor(x0, requires_grad=True)
         w = Tensor(w0, requires_grad=True)
         b = Tensor(b0, requires_grad=True)
-        linear(x, w, b).backward(np.ones((1, 1)))
+        (linear(x, w, b) * Tensor(np.ones((1, 1)))).sum().backward()
 
         def f_x(arr):
             return float(linear(Tensor(arr), Tensor(w0), Tensor(b0)).data[0, 0])
@@ -385,6 +416,10 @@ class TestBceLoss:
     def test_count_mismatch(self):
         with pytest.raises(ShapeError):
             bce_loss_mean(Tensor([0.5, 0.5, 0.5]), [0, 1])
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ShapeError, match="^bce_loss_mean needs at least one probability$"):
+            bce_loss_mean(Tensor(np.zeros(0)), [])
 
     def test_gradient(self):
         rng = np.random.default_rng(10)

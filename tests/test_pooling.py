@@ -41,9 +41,9 @@ def pool_grad(maps, cfg, up_vec, up_star=None, rng=None):
     plus the selection record."""
     x = Tensor(maps[None], requires_grad=True)
     vec, star, record = tkp_pool(x, cfg, rng)
-    vec.backward(np.reshape(up_vec, vec.shape))
+    (vec * Tensor(np.reshape(up_vec, vec.shape))).sum().backward()
     if up_star is not None:
-        star.backward(np.reshape(up_star, star.shape))
+        (star * Tensor(np.reshape(up_star, star.shape))).sum().backward()
     return x.grad[0], record
 
 
@@ -302,7 +302,7 @@ class TestGraphWrappers:
         x = Tensor(xs, requires_grad=True)
         vec, star, record = tkp_pool(x, TkpConfig(k=4))
         up = rng.normal(size=vec.data.shape)
-        vec.backward(up)
+        (vec * Tensor(up)).sum().backward()
         manual = manual_grad(xs.shape, record, up)
         np.testing.assert_array_equal(x.grad, manual)
 
@@ -336,7 +336,7 @@ class TestGraphWrappers:
         for i in range(2):
             np.testing.assert_allclose(gap_pool(Tensor(xs)).data[i], xs[i].mean(axis=(1, 2)))
         x = Tensor(xs, requires_grad=True)
-        gap_pool(x).backward(np.ones((2, 3)))
+        (gap_pool(x) * Tensor(np.ones((2, 3)))).sum().backward()
         np.testing.assert_allclose(x.grad, np.full_like(xs, 1.0 / 16.0))
 
     def test_gmp_values_and_grad_last_max(self):
@@ -346,7 +346,7 @@ class TestGraphWrappers:
         xs[0, 0] = [[3.0, 3.0], [1.0, 0.0]]
         np.testing.assert_array_equal(gmp_pool(Tensor(xs)).data[0], [3.0])
         x = Tensor(xs, requires_grad=True)
-        gmp_pool(x).backward(np.ones((1, 1)))
+        (gmp_pool(x) * Tensor(np.ones((1, 1)))).sum().backward()
         np.testing.assert_array_equal(x.grad[0, 0], [[0.0, 1.0], [0.0, 0.0]])
 
     def test_rank_checks(self):
@@ -356,6 +356,10 @@ class TestGraphWrappers:
             gap_pool(Tensor(np.zeros((4, 4))))
         with pytest.raises(ShapeError):
             tkp_pool(Tensor(np.zeros((4, 4, 4))), TkpConfig(k=2))
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ShapeError, match="^tkp_pool needs a non-empty batch$"):
+            tkp_pool(Tensor(np.zeros((0, 2, 4, 4))), TkpConfig(k=2))
 
 
 class TestDeterminism:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from localfocus import ParseError, ShapeError, load_ppm, save_ppm
+from localfocus import DomainError, ParseError, ShapeError, load_ppm, save_ppm
 
 
 class TestSave:
@@ -25,6 +25,16 @@ class TestSave:
         back = load_ppm(path)
         assert back[0, 0, 0] == 0.0
         assert back[2, 0, 0] == 1.0
+
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_pixel_refused_before_writing(self, tmp_path, value):
+        img = np.zeros((3, 2, 4))
+        img[1, 0, 3] = value
+        path = tmp_path / "img.ppm"
+        with pytest.raises(DomainError, match=rf"^save_ppm image has a non-finite pixel {value} at \(1, 0, 3\)$"):
+            save_ppm(img, str(path))
+        assert not path.exists()
 
 
 class TestRoundTrip:

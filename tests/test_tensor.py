@@ -25,11 +25,6 @@ class TestBasics:
         with pytest.raises(ShapeError):
             t.backward()
 
-    def test_backward_grad_shape_checked(self):
-        t = Tensor([1.0, 2.0], requires_grad=True)
-        with pytest.raises(ShapeError):
-            t.backward(np.ones(3))
-
 
 class TestArithmetic:
     def test_add_values_and_grads(self):
@@ -44,6 +39,10 @@ class TestArithmetic:
     def test_add_shape_mismatch(self):
         with pytest.raises(ShapeError):
             Tensor([1.0, 2.0]) + Tensor([1.0, 2.0, 3.0])
+
+    def test_mul_shape_mismatch(self):
+        with pytest.raises(ShapeError, match=r"^mul needs matching shapes, got \(2,\) and \(3,\)$"):
+            Tensor([1.0, 2.0]) * Tensor([1.0, 2.0, 3.0])
 
     def test_scalar_add_and_mul(self):
         # Scalars multiply a tensor; adding one is refused (see below).
@@ -89,12 +88,12 @@ class TestArithmetic:
         np.testing.assert_allclose(a.grad, [9.0])
 
     def test_first_gradient_is_a_private_copy(self):
-        # add hands the same upstream array to both inputs, and the root
-        # receives the caller's array: no gradient may alias another.
+        # add hands the same upstream array to both inputs: neither
+        # gradient may alias the other, nor the caller's array.
         a = Tensor(np.ones(3), requires_grad=True)
         b = Tensor(np.ones(3), requires_grad=True)
         up = np.array([1.0, 2.0, 3.0])
-        (a + b).backward(up)
+        ((a + b) * Tensor(up)).sum().backward()
         a.grad += 1.0
         np.testing.assert_array_equal(b.grad, [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(up, [1.0, 2.0, 3.0])
@@ -151,7 +150,7 @@ class TestNonlinearities:
     def test_sigmoid_gradient(self):
         x = Tensor([0.3, -1.2], requires_grad=True)
         out = x.sigmoid()
-        out.backward(np.ones(2))
+        (out * Tensor(np.ones(2))).sum().backward()
         s = out.data
         np.testing.assert_allclose(x.grad, s * (1 - s), rtol=1e-12)
 
@@ -159,14 +158,14 @@ class TestNonlinearities:
         x = Tensor([-2.0, 0.0, 3.0], requires_grad=True)
         out = x.abs()
         np.testing.assert_array_equal(out.data, [2.0, 0.0, 3.0])
-        out.backward(np.ones(3))
+        (out * Tensor(np.ones(3))).sum().backward()
         np.testing.assert_array_equal(x.grad, [-1.0, 0.0, 1.0])
 
     def test_relu_values_and_subgradient(self):
         x = Tensor([-2.0, 0.0, 3.0], requires_grad=True)
         out = x.relu()
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 3.0])
-        out.backward(np.ones(3))
+        (out * Tensor(np.ones(3))).sum().backward()
         np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
 
     @pytest.mark.parametrize("op", ["sigmoid", "abs", "relu"])
@@ -184,5 +183,5 @@ class TestNonlinearities:
 
             x = Tensor(x0, requires_grad=True)
             out = getattr(x, op)()
-            out.backward(weights)
+            (out * Tensor(weights)).sum().backward()
             assert check_gradient(f, x0, x.grad) < 1e-4
