@@ -23,12 +23,12 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (DatasetManifest, gen_fake, gen_real, load_dataset,
                    read_lines, read_manifest, write_manifest)
 from .errors import ConfigError, DomainError, ParseError, ShapeError, StateError, require_int
-from .model import DEFAULT_ALPHA, DEFAULT_THRESHOLD
+from .model import DEFAULT_ALPHA, DEFAULT_THRESHOLD, _check_settings
 from .npr import NprConfig
 from .pooling import TkpConfig
 from .ppm import load_ppm, save_ppm
 from .snet import SNetConfig
-from .train import TrainConfig, build_model, evaluate, save_loss_curve, train
+from .train import TrainConfig, _check_dataset, build_model, evaluate, save_loss_curve, train
 
 PROG = "localfocus"
 
@@ -234,9 +234,13 @@ def _config(cls, opts: dict):
 def _cmd_train(opts: dict) -> int:
     npr_cfg, snet_cfg, train_cfg, tkp_cfg = (
         _config(cls, opts) for cls in (NprConfig, SNetConfig, TrainConfig, TkpConfig))
+    # Settings are refused before any image loads, and the data before the
+    # model (whose head is 64*k wide) is allocated.
+    _check_settings(train_cfg.pooling, opts["decision_threshold"], opts["alpha"], train_cfg.seed)
+    dataset = load_dataset(read_manifest(opts["manifest"]))
+    _check_dataset(dataset, snet_cfg, train_cfg.pooling, tkp_cfg.k)
     model = build_model(train_cfg, npr_cfg=npr_cfg, snet_cfg=snet_cfg, tkp_cfg=tkp_cfg,
                         decision_threshold=opts["decision_threshold"], alpha=opts["alpha"])
-    dataset = load_dataset(read_manifest(opts["manifest"]))
     result = train(model, dataset, train_cfg)
 
     out_dir = opts["out"]

@@ -66,6 +66,33 @@ def head_width(pooling: str, k: int) -> int:
     return OUT_CHANNELS * _cells_read(pooling, k)
 
 
+def _check_settings(pooling: str, decision_threshold: float, alpha: float, seed: int) -> None:
+    """Refuse a setting :class:`LfmModel` cannot take, before it allocates anything."""
+    if pooling not in POOLING_VARIANTS:
+        raise ConfigError(f"unknown pooling variant {pooling!r}; supported: {POOLING_VARIANTS}")
+    require_real("decision_threshold", decision_threshold, high=1.0)
+    require_real("alpha", alpha)
+    require_int("seed", seed, minimum=0)
+
+
+def _check_input_size(snet_cfg: SNetConfig, pooling: str, k: int, h: int, w: int) -> None:
+    """Refuse an h x w input whose final maps hold fewer cells than the
+    pooling reads, naming the smallest even square side the model scores.
+    It needs only the settings, so a caller can ask before building the head."""
+
+    def fits(h: int, w: int) -> bool:
+        try:
+            _, ho, wo = output_shape(snet_cfg, h, w)
+        except ShapeError:
+            return False
+        return ho * wo >= _cells_read(pooling, k)
+
+    if not fits(h, w):
+        side = next(s for s in itertools.count(2, 2) if fits(s, s))
+        raise ShapeError(f"a {h}x{w} input is too small for this model; "
+                         f"the smallest side it scores is {side}")
+
+
 class LfmModel:
     """Detector with a configurable pooling variant.
 
@@ -82,11 +109,7 @@ class LfmModel:
                  decision_threshold: float = DEFAULT_THRESHOLD,
                  alpha: float = DEFAULT_ALPHA,
                  seed: int = 0):
-        if pooling not in POOLING_VARIANTS:
-            raise ConfigError(f"unknown pooling variant {pooling!r}; supported: {POOLING_VARIANTS}")
-        require_real("decision_threshold", decision_threshold, high=1.0)
-        require_real("alpha", alpha)
-        require_int("seed", seed, minimum=0)
+        _check_settings(pooling, decision_threshold, alpha, seed)
         self.npr_cfg = npr_cfg or NprConfig()
         self.snet_cfg = snet_cfg or SNetConfig()
         self.tkp_cfg = tkp_cfg or TkpConfig()
@@ -118,20 +141,10 @@ class LfmModel:
         for p in self.parameters():
             p.zero_grad()
 
-    def _fits(self, h: int, w: int) -> bool:
-        try:
-            _, ho, wo = output_shape(self.snet_cfg, h, w)
-        except ShapeError:
-            return False
-        return ho * wo >= _cells_read(self.pooling, self.tkp_cfg.k)
-
     def check_input_size(self, h: int, w: int) -> None:
         """Refuse an h x w input whose final maps hold fewer cells than the
         pooling reads, naming the smallest even square side this model scores."""
-        if not self._fits(h, w):
-            side = next(s for s in itertools.count(2, 2) if self._fits(s, s))
-            raise ShapeError(f"a {h}x{w} input is too small for this model; "
-                             f"the smallest side it scores is {side}")
+        _check_input_size(self.snet_cfg, self.pooling, self.tkp_cfg.k, h, w)
 
     # -- forward paths ----------------------------------------------------------
 

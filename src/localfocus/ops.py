@@ -17,9 +17,12 @@ NHWC view of it is contiguous again. Shapes seen from outside stay NCHW.
 
 ``maxpool2d`` is a running maximum over k*k strided tap views, tap
 (i, j) holding element (i, j) of every window. The windows tile the
-input, so every position lies in at most one tap; the backward makes one
-pass over the taps and assigns each window's gradient into the slice of
-the first tap, in row-major order, that equals the maximum.
+input, so every position lies in at most one tap; the backward writes
+each tap's slice exactly once, in row-major tap order: a window's
+gradient goes to the first tap that equals its maximum, or to the last
+tap when none did (a NaN window), and every other position gets +0.0.
+The input gradient has the input's strides, so a channels-last input
+gets a channels-last gradient, which conv2d's backward reads without a copy.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
                 for j in range(kw):
                     dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcol[:, :, :, i, j]
             dx = dxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2).reshape(x.data.shape)
-        return dx, (gmat.T @ col).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2), gmat.sum(axis=0)
+        return dx, (gmat.T @ col).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2), np.einsum("ij->j", gmat)
 
     return Tensor._wrap(out_data, (x, weight, bias), vjp)
 
@@ -99,6 +102,7 @@ def maxpool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
     ``k``; a trailing row or column that fills no window is dropped).
     Ties resolve to the first element in row-major window order (numpy
     argmax convention), and the gradient routes to each window's winner.
+    A window holding NaN pools to NaN and routes its gradient to its last element.
     """
     require_int("maxpool2d window", k, minimum=1)
     if stride != k:
@@ -117,12 +121,19 @@ def maxpool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
         np.maximum(pooled, xd[tap], out=pooled)
 
     def vjp(g):
-        dx = np.zeros_like(xd)
+        dx = np.empty_like(xd)  # keeps the input's (channels-last) strides
+        dx[:, :, k * ho:] = 0.0
+        dx[:, :, :, k * wo:] = 0.0
+        # The bit patterns times 0 or 1: g exactly or +0.0, never the -0.0
+        # or NaN a float product of a negative or infinite g would give.
+        gbits = g.view(np.int64)
         free = np.ones_like(pooled, dtype=bool)
-        for tap in taps:
-            hit = (xd[tap] == pooled) & free
-            np.copyto(dx[tap], g, where=hit)
+        for tap in taps[:-1]:
+            hit = xd[tap] == pooled
+            hit &= free
+            np.multiply(gbits, hit, out=dx[tap].view(np.int64))
             free ^= hit
+        np.multiply(gbits, free, out=dx[taps[-1]].view(np.int64))
         return (dx.reshape(x.data.shape),)
 
     return Tensor._wrap(pooled.reshape(x.data.shape[:-2] + (ho, wo)), (x,), vjp)

@@ -57,19 +57,28 @@ class Tensor:
             out._parents = tuple(p for p in parents if p.requires_grad)
 
             def backward():
+                taken = [out.grad]
                 for p, g in zip(parents, vjp(out.grad)):
                     if p.requires_grad:
-                        p._accumulate(g)
+                        p._accumulate(g, taken)
 
             out._backward = backward
         return out
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # A fresh copy: never a view of another tensor's gradient.
-            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=np.float64)
-        else:
+    def _accumulate(self, g: np.ndarray, taken: list[np.ndarray]) -> None:
+        """Add ``g`` into ``.grad``; ``taken`` lists the arrays ``g`` must
+        not alias: the output gradient and those already adopted from the
+        same vjp call."""
+        if self.grad is not None:
             self.grad += g
+        elif (isinstance(g, np.ndarray) and g.dtype == np.float64 and g.shape == self.data.shape
+              and g.flags.writeable and not any(np.may_share_memory(g, t) for t in taken)):
+            # Adopted: an array the op made for this parent alone.
+            self.grad = g
+            taken.append(g)
+        else:
+            # A copy: a broadcast, read-only or shared array (add's (g, g)).
+            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=np.float64)
 
     # -- basic protocol ---------------------------------------------------
 
@@ -122,7 +131,7 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
 
-        self._accumulate(np.ones_like(self.data))
+        self._accumulate(np.ones_like(self.data), [])
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward()

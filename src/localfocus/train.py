@@ -19,9 +19,10 @@ import numpy as np
 from .data import SampleRecord
 from .errors import ConfigError, DomainError, StateError, require_bool, require_int, require_real
 from .metrics import EvalReport, accuracy, average_precision
-from .model import POOLING_VARIANTS, LfmModel, total_param_count
+from .model import POOLING_VARIANTS, LfmModel, _check_input_size, total_param_count
 from .optim import Adam
 from .pooling import TkpConfig
+from .snet import SNetConfig
 
 _SHUFFLE_TAG = 101
 _STEP_TAG = 202
@@ -69,6 +70,18 @@ class TrainResult:
     epoch_losses: list[float] = field(default_factory=list)
 
 
+def _check_dataset(dataset: list[SampleRecord], snet_cfg: SNetConfig, pooling: str, k: int) -> None:
+    """Refuse a dataset that is empty, lacks a class, or holds an image size
+    the model these settings describe cannot score."""
+    if len(dataset) == 0:
+        raise ConfigError("train needs a non-empty dataset")
+    labels_present = {rec.label for rec in dataset}
+    if labels_present != {0, 1}:
+        raise ConfigError(f"train needs both classes present, got labels {sorted(labels_present)}")
+    for h, w in dict.fromkeys(rec.image.shape[-2:] for rec in dataset):
+        _check_input_size(snet_cfg, pooling, k, h, w)
+
+
 def train(model: LfmModel, dataset: list[SampleRecord], cfg: TrainConfig) -> TrainResult:
     """Optimize ``model`` in place over ``dataset``.
 
@@ -77,14 +90,7 @@ def train(model: LfmModel, dataset: list[SampleRecord], cfg: TrainConfig) -> Tra
     deep copy of the model at its lowest epoch loss, or of the initial
     model when no epoch loss is finite.
     """
-    if len(dataset) == 0:
-        raise ConfigError("train needs a non-empty dataset")
-    labels_present = {rec.label for rec in dataset}
-    if labels_present != {0, 1}:
-        raise ConfigError(f"train needs both classes present, got labels {sorted(labels_present)}")
-    for h, w in dict.fromkeys(rec.image.shape[-2:] for rec in dataset):
-        model.check_input_size(h, w)
-
+    _check_dataset(dataset, model.snet_cfg, model.pooling, model.tkp_cfg.k)
     optimizer = Adam(model.parameters(), lr=cfg.lr)
     shuffle_rng = np.random.default_rng((cfg.seed, _SHUFFLE_TAG))
     n = len(dataset)

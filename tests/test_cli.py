@@ -174,6 +174,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{flag[2:]} must be finite and >= 0, got {value}" in err
 
+    def test_oversized_k_is_refused_before_the_model_is_built(self, workspace, tmp_path,
+                                                              monkeypatch, capsys):
+        # The head is 64*k wide, 205 MB at this k; the data's size is refused first.
+        def refuse(*a, **k):
+            raise AssertionError("build_model ran before the input-size gate")
+
+        monkeypatch.setattr("localfocus.cli.build_model", refuse)
+        rc = main(["train", "--manifest", workspace["train_manifest"],
+                   "--out", str(tmp_path / "r"), "--k", "400000"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert ("a 32x32 input is too small for this model; "
+                "the smallest side it scores is 5080") in err
+        assert not (tmp_path / "r").exists()
+
     def test_negative_gen_data_seed_is_exit_2(self, tmp_path, capsys):
         rc = main(["gen-data", "--out", str(tmp_path / "d"), "--seed", "-1"])
         assert rc == 2

@@ -5,8 +5,9 @@ import pytest
 from dataclasses import replace
 
 from localfocus import (ConfigError, DomainError, LfmModel, ShapeError,
-                        SNetConfig, Tensor, TkpConfig, total_param_count)
+                        SNetConfig, Tensor, TkpConfig, bce_loss_mean, total_param_count)
 from localfocus.gradcheck import check_gradient, relative_error
+from localfocus.model import _batch
 from localfocus.npr import npr_extract
 
 TINY_SNET = SNetConfig(num_conv_layers=4, channel_plan=(8, 16, 32, 64))
@@ -122,6 +123,32 @@ class TestForwardTrain:
         model.forward_train(images, labels, np.random.default_rng(2))
         for p in model.parameters():
             assert p.grad is not None and p.grad.shape == p.data.shape
+
+    def test_adopted_gradients_never_alias(self):
+        model = tiny_model()
+        images, labels = tiny_batch()
+        model.forward_train(images, labels, np.random.default_rng(2))
+        params = model.parameters()
+        for i, p in enumerate(params):
+            for q in params:
+                assert not np.shares_memory(p.grad, q.data)
+            for q in params[i + 1:]:
+                assert not np.shares_memory(p.grad, q.grad)
+
+    def test_shared_head_weight_sums_both_contributions(self):
+        # Both linear calls read fc_weight: its gradient is the first
+        # contribution, adopted, plus the second, added in place.
+        model = tiny_model()
+        images, labels = tiny_batch()
+        parts = []
+        for term in (lambda probs, star: bce_loss_mean(probs, labels),
+                     lambda probs, star: model.alpha * bce_loss_mean(star, labels)):
+            model.zero_grad()
+            term(*model._forward(_batch(images), np.random.default_rng(3))).backward()
+            parts.append(model.fc_weight.grad.copy())
+        model.forward_train(images, labels, np.random.default_rng(3))
+        assert not np.array_equal(parts[0], parts[1])
+        assert model.fc_weight.grad.tobytes() == (parts[0] + parts[1]).tobytes()
 
     def test_input_batch_stays_gradient_free(self, monkeypatch):
         seen = []

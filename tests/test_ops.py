@@ -299,6 +299,37 @@ class TestMaxPool2d:
             assert x.grad.tobytes() == ref_dx.tobytes()
 
 
+    @pytest.mark.parametrize("shape", [(2, 3, 8, 6), (2, 3, 7, 9)], ids=["even", "odd"])
+    def test_input_gradient_keeps_channels_last_strides(self, shape):
+        # conv2d reads its upstream gradient through an NHWC view, which is
+        # free only when the gradient has the channels-last strides of its output.
+        rng = np.random.default_rng(13)
+        n, c, h, w = shape
+        x0 = np.ascontiguousarray(rng.normal(size=(n, h, w, c))).transpose(0, 3, 1, 2)
+        x = Tensor(x0, requires_grad=True)
+        out = maxpool2d(x)
+        upstream = rng.normal(size=out.data.shape)
+        (out * Tensor(upstream)).sum().backward()
+        assert x.grad.strides == x0.strides
+        _, ref_dx = oracle_maxpool2d(np.ascontiguousarray(x0), upstream, 2, 2)
+        assert x.grad.tobytes() == ref_dx.tobytes()
+
+    def test_nan_window_routes_gradient_to_its_last_element(self):
+        # A NaN maximum equals no element; the last tap takes what is left.
+        x0 = np.array([[[[1.0, np.nan, 2.0, 0.0], [3.0, 0.5, 1.0, 5.0]]]])
+        x = Tensor(x0, requires_grad=True)
+        out = maxpool2d(x)
+        (out * Tensor(np.array([[[[-2.0, 7.0]]]]))).sum().backward()
+        assert np.isnan(out.data[0, 0, 0, 0]) and out.data[0, 0, 0, 1] == 5.0
+        assert x.grad.tobytes() == np.array([[[[0.0, 0.0, 0.0, 0.0], [0.0, -2.0, 0.0, 7.0]]]]).tobytes()
+
+    def test_infinite_upstream_reaches_only_the_winner(self):
+        x0 = np.array([[[[1.0, 4.0], [3.0, 0.5]], [[0.0, -1.0], [2.0, 9.0]]]])
+        x = Tensor(x0, requires_grad=True)
+        (maxpool2d(x) * Tensor(np.full((1, 2, 1, 1), -np.inf))).sum().backward()
+        expected = np.array([[[[0.0, -np.inf], [0.0, 0.0]], [[0.0, 0.0], [0.0, -np.inf]]]])
+        assert x.grad.tobytes() == expected.tobytes()
+
     def test_pool_then_relu_matches_relu_then_pool(self):
         # relu is monotone, so the SNet's pool -> relu order gives the same
         # bits, forward and backward, as relu -> pool: windows whose maximum

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from localfocus import ShapeError, Tensor
+from localfocus import ShapeError, Tensor, gap_pool
 from localfocus.gradcheck import check_gradient
 
 
@@ -97,6 +97,42 @@ class TestArithmetic:
         a.grad += 1.0
         np.testing.assert_array_equal(b.grad, [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(up, [1.0, 2.0, 3.0])
+
+    def test_fresh_first_gradient_is_adopted(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        fresh = np.array([1.0, 2.0, 3.0])
+        Tensor._wrap(a.data.copy(), (a,), lambda g: (fresh,)).sum().backward()
+        assert a.grad is fresh
+
+    @pytest.mark.parametrize("case", ["upstream", "shared", "read-only", "broadcast", "float32"])
+    def test_unadoptable_first_gradient_is_copied(self, case):
+        # Only a writeable float64 array of the parent's shape that aliases
+        # neither the output gradient nor one already adopted is kept as is.
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        fresh = np.array([1.0, 2.0, 3.0])
+        frozen = fresh.copy()
+        frozen.flags.writeable = False
+        vjps = {"upstream": lambda g: (g[::-1], g), "shared": lambda g: (fresh[::-1], fresh),
+                "read-only": lambda g: (g[::-1] * 1.0, frozen),
+                "broadcast": lambda g: (g[::-1] * 1.0, np.broadcast_to(g[:1], (3,))),
+                "float32": lambda g: (g[::-1] * 1.0, g.astype(np.float32))}
+        out = Tensor._wrap(a.data + b.data, (a, b), vjps[case])
+        (out * Tensor(np.array([1.0, 2.0, 3.0]))).sum().backward()
+        assert b.grad.dtype == np.float64 and b.grad.flags.writeable
+        assert not np.shares_memory(a.grad, b.grad)
+        np.testing.assert_array_equal(a.grad, [3.0, 2.0, 1.0])
+        b.grad += 1.0
+        np.testing.assert_array_equal(a.grad, [3.0, 2.0, 1.0])
+        np.testing.assert_array_equal(b.grad, [2.0, 2.0, 2.0] if case == "broadcast" else [2.0, 3.0, 4.0])
+
+    def test_gap_pool_gradient_is_a_writeable_copy(self):
+        # gap_pool hands back a read-only broadcast of one value per map.
+        x = Tensor(np.zeros((2, 3, 4, 4)), requires_grad=True)
+        gap_pool(x).sum().backward()
+        assert x.grad.flags.writeable and 0 not in x.grad.strides
+        x.grad[0, 0, 0, 0] += 1.0
+        assert x.grad[0, 0, 0, 1] == 1.0 / 16
 
     @pytest.mark.parametrize("op", [lambda a, b: a + b, lambda a, b: a * b,
                                     lambda a, b: b + a, lambda a, b: b * a],
