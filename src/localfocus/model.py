@@ -21,7 +21,7 @@ from .npr import NprConfig, npr_extract
 from .ops import bce_loss_mean, linear
 from .pooling import TkpConfig, gap_pool, gmp_pool, tkp_pool
 from .snet import OUT_CHANNELS, SNet, SNetConfig, output_shape
-from .tensor import Tensor
+from .tensor import Tensor, buffer, reuse_buffers
 
 POOLING_VARIANTS = ("tkp", "gap", "gmp")
 DEFAULT_ALPHA = 0.1
@@ -53,7 +53,7 @@ def _batch(images) -> np.ndarray:
         if im.shape != images[0].shape:
             raise ShapeError(f"image {i} has shape {im.shape}, unlike image 0 with {images[0].shape}")
         require_finite_pixels(f"image {i}", im)
-    return np.stack(images)
+    return np.stack(images, out=buffer((len(images),) + images[0].shape))
 
 
 def _cells_read(pooling: str, k: int) -> int:
@@ -197,9 +197,14 @@ class LfmModel:
         return scores, star_scores, report
 
     def score(self, image: np.ndarray) -> float:
-        """Deterministic fake-probability for one (3, H, W) image."""
-        probs, _ = self._forward(_batch([image]), None)
-        return probs.data.reshape(-1)[0]
+        """Deterministic fake-probability for one (3, H, W) image.
+
+        The forward reuses this thread's arrays from its last call, so only
+        a scalar copy may leave; the recorded graph is freed on return.
+        """
+        with reuse_buffers():
+            probs, _ = self._forward(_batch([image]), None)
+            return probs.data.reshape(-1)[0]
 
     def infer(self, image: np.ndarray) -> tuple[float, int]:
         """(probability, hard label) with label = probability >= threshold."""

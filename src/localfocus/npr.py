@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ShapeError, require_bool
 from .ops import _as_batch
-from .tensor import Tensor
+from .tensor import Tensor, buffer
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,11 @@ def _residual(data: np.ndarray) -> np.ndarray:
     h, w = data.shape[-2], data.shape[-1]
     if h % 2 or w % 2:
         raise ShapeError(f"npr height and width must both be even, got {h}x{w}")
-    return data - resample_2x(data)
+    blocks = data.shape[:-2] + (h // 2, 2, w // 2, 2)
+    out = buffer(data.shape)
+    # Each 2x2 block minus its top-left anchor: data - resample_2x(data).
+    np.subtract(data.reshape(blocks), data[..., ::2, None, ::2, None], out=out.reshape(blocks))
+    return out
 
 
 def npr_extract(image: Tensor, cfg: NprConfig = NprConfig()) -> Tensor:

@@ -15,6 +15,10 @@ returned as an NCHW-shaped view without a copy, and the next layer's
 NHWC view of it is contiguous again. Shapes seen from outside stay NCHW.
 ``maxpool2d`` and the elementwise ops keep whatever layout they are given.
 
+The forward's large arrays (im2col rows, conv products, pooled maps) come
+from ``tensor.buffer``: fresh, except inside ``LfmModel.score``, which hands
+each call the arrays its thread's last call drew. The backward allocates its own.
+
 ``maxpool2d`` is a running maximum over k*k strided tap views, tap
 (i, j) holding element (i, j) of every window. The windows tile the
 input, so every position lies in at most one tap; the backward writes
@@ -31,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DomainError, ShapeError, require_int
-from .tensor import Tensor
+from .tensor import Tensor, buffer, buffer_like
 
 _LOG_CLAMP = 1e-12
 
@@ -76,9 +80,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
     wo = (wp - kw) // stride + 1
     win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
     # (n, ho, wo, cin, kh, kw) -> one (kh, kw, cin) row per output pixel
-    col = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(n * ho * wo, kh * kw * cin)
+    col = buffer((n * ho * wo, kh * kw * cin))
+    np.copyto(col.reshape(n, ho, wo, kh, kw, cin), win.transpose(0, 1, 2, 4, 5, 3))
     wmat = weight.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
-    flat = col @ wmat.T
+    flat = np.matmul(col, wmat.T, out=buffer((n * ho * wo, cout)))
     flat += bias.data
     out_data = flat.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2).reshape(x.data.shape[:-3] + (cout, ho, wo))
 
@@ -116,7 +121,8 @@ def maxpool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
 
     ho, wo = h // k, w // k
     taps = [np.s_[:, :, i:k * ho:k, j:k * wo:k] for i in range(k) for j in range(k)]
-    pooled = xd[taps[0]].copy(order="K")
+    pooled = buffer_like(xd[taps[0]])
+    np.copyto(pooled, xd[taps[0]])
     for tap in taps[1:]:
         np.maximum(pooled, xd[tap], out=pooled)
 

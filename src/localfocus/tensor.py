@@ -6,8 +6,16 @@ parent, in order, and may return ``None`` only for a parent that needs none.
 ``_wrap`` alone records the graph edge, and only when some parent requires
 gradients. ``Tensor.backward`` walks it once from a scalar root in reverse
 topological order, releasing each node as it goes; only leaves (parameters,
-inputs) keep ``.grad``. The model's parameters require gradients, so
-inference (``LfmModel.score``) records a graph too, about 15 nodes per call.
+inputs) keep ``.grad``. A recorded closure holds its output weakly, so
+the graph has no reference cycle and one that nobody walks is freed as
+soon as its root is dropped. The model's parameters require gradients, so
+inference (``LfmModel.score``) records a graph too, about 15 nodes per call,
+and frees it when it returns.
+
+The forward ops draw their large arrays from ``buffer``: ``np.empty``,
+except inside ``reuse_buffers()`` (entered by ``LfmModel.score`` alone),
+where a per-thread free list keyed by shape hands the next call the
+arrays the last one drew, instead of fresh pages to fault in.
 
 Shape rules are strict: ``+`` and ``-`` take two tensors of identical
 shape, ``*`` also a Python scalar; there is no implicit broadcasting.
@@ -15,11 +23,66 @@ shape, ``*`` also a Python scalar; there is no implicit broadcasting.
 
 from __future__ import annotations
 
+import contextlib
+import threading
+import weakref
+
 import numpy as np
 
 from .errors import ShapeError
 
 _SIGMOID_CLAMP = 1e-12
+
+
+class _Buffers(threading.local):
+    """One thread's arrays: ``free`` by shape, from the last block, and
+    ``drawn``, those the open block handed out (None outside a block)."""
+
+    def __init__(self):
+        self.free: dict[tuple[int, ...], list[np.ndarray]] = {}
+        self.drawn: list[np.ndarray] | None = None
+
+
+_buffers = _Buffers()
+
+
+@contextlib.contextmanager
+def reuse_buffers():
+    """Let ``buffer`` reuse this thread's arrays from the previous block.
+
+    Every array drawn inside may be handed out again once the outermost
+    block exits, so nothing drawn may outlive it. On exit the free list
+    keeps exactly the arrays this block drew. A nested block does nothing.
+    """
+    if _buffers.drawn is not None:
+        yield
+        return
+    _buffers.drawn = []
+    try:
+        yield
+    finally:
+        free: dict[tuple[int, ...], list[np.ndarray]] = {}
+        for a in _buffers.drawn:
+            free.setdefault(a.shape, []).append(a)
+        _buffers.free, _buffers.drawn = free, None
+
+
+def buffer(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised C-ordered float64 array, reused inside ``reuse_buffers``."""
+    drawn = _buffers.drawn
+    if drawn is None:
+        return np.empty(shape)
+    kept = _buffers.free.get(shape)
+    a = kept.pop() if kept else np.empty(shape)
+    drawn.append(a)
+    return a
+
+
+def buffer_like(a: np.ndarray) -> np.ndarray:
+    """``buffer`` with ``a``'s shape and axis order (numpy's order "K"),
+    so a channels-last view gets a channels-last array."""
+    order = sorted(range(a.ndim), key=lambda i: -abs(a.strides[i]))
+    return buffer(tuple(a.shape[i] for i in order)).transpose(np.argsort(order))
 
 
 class Tensor:
@@ -32,7 +95,7 @@ class Tensor:
         requires_grad: whether backward should reach this tensor.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -49,16 +112,19 @@ class Tensor:
 
         The recorded ``_backward`` passes the output gradient through
         ``vjp`` and accumulates each result into its parent, skipping
-        parents that do not require gradients.
+        parents that do not require gradients. It reads the output through
+        a weak reference, so the output and its closure form no cycle.
         """
         out = Tensor(data)
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(p for p in parents if p.requires_grad)
+            output = weakref.ref(out)
 
             def backward():
-                taken = [out.grad]
-                for p, g in zip(parents, vjp(out.grad)):
+                g_out = output().grad
+                taken = [g_out]
+                for p, g in zip(parents, vjp(g_out)):
                     if p.requires_grad:
                         p._accumulate(g, taken)
 
@@ -104,11 +170,11 @@ class Tensor:
         """Backpropagate from this single-element root (gradient one), then release the graph.
 
         Each node's closure, parent links and (for an op output) gradient
-        are dropped right after its closure runs. A closure captures the
-        tensor it produced, so an unreleased graph is a reference cycle
-        pinning its numpy buffers until the cycle collector runs; releasing
-        during the walk also frees what each op kept for its backward
-        (conv's im2col rows) before the walk reaches the ops below it.
+        are dropped right after its closure runs. A closure holds the
+        tensor it produced only weakly, so a graph nobody walks is freed by
+        reference counting once its root is dropped; releasing during the
+        walk also frees what each op kept for its backward (conv's im2col
+        rows) before the walk reaches the ops below it.
         """
         if not self.requires_grad:
             return
@@ -192,8 +258,10 @@ class Tensor:
 
     def abs(self) -> "Tensor":
         """Elementwise absolute value; subgradient at 0 is 0."""
-        return Tensor._wrap(np.abs(self.data), (self,), lambda g: (g * np.sign(self.data),))
+        return Tensor._wrap(np.abs(self.data, out=buffer_like(self.data)), (self,),
+                            lambda g: (g * np.sign(self.data),))
 
     def relu(self) -> "Tensor":
         """Elementwise max(x, 0); subgradient at 0 is 0."""
-        return Tensor._wrap(np.maximum(self.data, 0.0), (self,), lambda g: (g * (self.data > 0.0),))
+        return Tensor._wrap(np.maximum(self.data, 0.0, out=buffer_like(self.data)), (self,),
+                            lambda g: (g * (self.data > 0.0),))

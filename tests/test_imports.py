@@ -95,6 +95,39 @@ def test_only_tensor_wires_gradients_into_the_graph():
     assert {name: lines for name, lines in offenders.items() if lines} == {}
 
 
+def reuse_buffers_readers(source: str) -> list[str]:
+    """For each read of a name or attribute ``reuse_buffers`` in ``source``,
+    the qualified name of the innermost function or class around it
+    (``<module>`` at module level)."""
+    readers = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if owner == "<module>" else f"{owner}.{child.name}")
+                continue
+            if ((isinstance(child, ast.Name) and child.id == "reuse_buffers")
+                    or (isinstance(child, ast.Attribute) and child.attr == "reuse_buffers")):
+                readers.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return readers
+
+
+def test_only_score_reuses_buffers():
+    # Buffers drawn inside reuse_buffers are handed out again by the next
+    # block, and a thread keeps one block's worth. Around forward_train that
+    # is a whole training step's forward arrays, kept between steps where the
+    # backward would free them, so only LfmModel.score (which returns a
+    # scalar copy) enters it.
+    src = ("import t\nwith t.reuse_buffers():\n    pass\nclass M:\n    def f(self):\n"
+           "        def g():\n            with reuse_buffers():\n                pass\n")
+    assert reuse_buffers_readers(src) == ["<module>", "M.f.g"]
+    readers = {p.name: reuse_buffers_readers(p.read_text(encoding="utf-8")) for p in SOURCES}
+    assert {name: funcs for name, funcs in readers.items() if funcs} == {"model.py": ["LfmModel.score"]}
+
+
 def hand_written_range_messages(source: str) -> list[int]:
     """Lines of ``source`` that build a ``ConfigError`` whose message text
     holds " >= " or "must be finite": a floor or range check that

@@ -1,5 +1,9 @@
 """Full detector: loss composition, parameter math, inference contract."""
 
+import gc
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -316,6 +320,34 @@ class TestInference:
         for call in (tiny_model().score, tiny_model().infer):
             with pytest.raises(DomainError, match=r"image 0 has a non-finite pixel .*\(0, 0, 3\)"):
                 call(img)
+
+    def test_score_leaves_no_garbage(self):
+        # The graph score records has no cycle, so it is freed on return
+        # without the cycle collector.
+        model = tiny_model()
+        img = tiny_batch(n=1)[0][0]
+        gc.collect()
+        gc.disable()
+        try:
+            model.score(img)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_two_threads_score_like_one(self):
+        # Mixed sizes make each thread's reused buffers switch shapes.
+        model = tiny_model()
+        rng = np.random.default_rng(5)
+        images = [rng.random((3, side, side)) for side in (64, 96) * 30]
+        serial = [model.score(img) for img in images]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                threaded = list(pool.map(model.score, images, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
     def test_training_does_not_change_inference_path(self):
         # Same parameters => same score, regardless of how cfg flags are set.

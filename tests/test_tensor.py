@@ -1,10 +1,14 @@
 """Autograd engine: values, gradients, and graph bookkeeping."""
 
+import contextlib
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from localfocus import ShapeError, Tensor, gap_pool
 from localfocus.gradcheck import check_gradient
+from localfocus.tensor import buffer, buffer_like, reuse_buffers
 
 
 class TestBasics:
@@ -221,3 +225,47 @@ class TestNonlinearities:
             out = getattr(x, op)()
             (out * Tensor(weights)).sum().backward()
             assert check_gradient(f, x0, x.grad) < 1e-4
+
+
+class TestBufferReuse:
+    def test_outside_a_block_buffers_are_fresh(self):
+        a, b = buffer((4, 5)), buffer((4, 5))
+        assert not np.may_share_memory(a, b)
+
+    def test_a_block_gets_back_what_the_last_block_drew(self):
+        with reuse_buffers():
+            a = buffer((4, 5))
+            with reuse_buffers():  # nested: part of the outer block
+                b = buffer((4, 5))
+        with reuse_buffers():
+            again = [buffer((4, 5)), buffer((4, 5))]
+        assert {id(x) for x in again} == {id(a), id(b)}
+
+    def test_a_block_of_another_shape_drops_the_old_buffers(self):
+        with reuse_buffers():
+            a = buffer((4, 5))
+        with reuse_buffers():
+            buffer((5, 4))
+        with reuse_buffers():
+            assert buffer((4, 5)) is not a
+
+    def test_each_thread_keeps_its_own_buffers(self):
+        with reuse_buffers():
+            a = buffer((4, 5))
+
+        def other_thread():
+            with reuse_buffers():
+                return buffer((4, 5))
+
+        with ThreadPoolExecutor(1) as pool:
+            b = pool.submit(other_thread).result(timeout=60)
+        assert b is not a
+        with reuse_buffers():
+            assert buffer((4, 5)) is a
+
+    def test_like_keeps_the_axis_order(self):
+        channels_last = np.empty((2, 5, 4, 3)).transpose(0, 3, 1, 2)
+        for reuse in (False, True):
+            with reuse_buffers() if reuse else contextlib.nullcontext():
+                b = buffer_like(channels_last)
+            assert b.shape == channels_last.shape and b.strides == channels_last.strides
