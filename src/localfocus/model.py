@@ -199,8 +199,10 @@ class LfmModel:
     def score(self, image: np.ndarray) -> float:
         """Deterministic fake-probability for one (3, H, W) image.
 
-        The forward reuses this thread's arrays from its last call, so only
-        a scalar copy may leave; the recorded graph is freed on return.
+        The forward reuses this thread's arrays from its last call when that
+        call scored an image of the same shape, and the thread keeps this
+        call's arrays until its next call, so only a scalar copy may leave.
+        The recorded graph is freed on return.
         """
         with reuse_buffers():
             probs, _ = self._forward(_batch([image]), None)

@@ -39,10 +39,19 @@ class NprConfig:
         require_bool("take_abs", self.take_abs)
 
 
+def _blocks(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``data`` as 2x2 blocks on its last two axes, (..., H/2, 2, W/2, 2),
+    and each block's top-left anchor, (..., H/2, 1, W/2, 1), which
+    broadcasts over its block."""
+    h, w = data.shape[-2], data.shape[-1]
+    return data.reshape(data.shape[:-2] + (h // 2, 2, w // 2, 2)), data[..., ::2, None, ::2, None]
+
+
 def resample_2x(data: np.ndarray) -> np.ndarray:
     """Nearest 2x down-then-up on the last two axes: every 2x2 block
     becomes its top-left pixel."""
-    return data[..., ::2, ::2].repeat(2, axis=-2).repeat(2, axis=-1)
+    blocks, anchors = _blocks(data)
+    return np.broadcast_to(anchors, blocks.shape).reshape(data.shape)
 
 
 def _residual(data: np.ndarray) -> np.ndarray:
@@ -50,10 +59,9 @@ def _residual(data: np.ndarray) -> np.ndarray:
     h, w = data.shape[-2], data.shape[-1]
     if h % 2 or w % 2:
         raise ShapeError(f"npr height and width must both be even, got {h}x{w}")
-    blocks = data.shape[:-2] + (h // 2, 2, w // 2, 2)
+    blocks, anchors = _blocks(data)
     out = buffer(data.shape)
-    # Each 2x2 block minus its top-left anchor: data - resample_2x(data).
-    np.subtract(data.reshape(blocks), data[..., ::2, None, ::2, None], out=out.reshape(blocks))
+    np.subtract(blocks, anchors, out=out.reshape(blocks.shape))
     return out
 
 

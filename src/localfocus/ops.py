@@ -17,7 +17,8 @@ NHWC view of it is contiguous again. Shapes seen from outside stay NCHW.
 
 The forward's large arrays (im2col rows, conv products, pooled maps) come
 from ``tensor.buffer``: fresh, except inside ``LfmModel.score``, which hands
-each call the arrays its thread's last call drew. The backward allocates its own.
+each call the arrays its thread's last call drew if that call's input had
+the same shape. The backward allocates its own.
 
 ``maxpool2d`` is a running maximum over k*k strided tap views, tap
 (i, j) holding element (i, j) of every window. The windows tile the

@@ -14,8 +14,10 @@ and frees it when it returns.
 
 The forward ops draw their large arrays from ``buffer``: ``np.empty``,
 except inside ``reuse_buffers()`` (entered by ``LfmModel.score`` alone),
-where a per-thread free list keyed by shape hands the next call the
-arrays the last one drew, instead of fresh pages to fault in.
+where a per-thread free list keyed by shape hands a call the arrays the
+thread's last call drew, instead of fresh pages to fault in, when both
+calls scored images of one shape. A call on another shape allocates
+afresh, and its arrays replace the list when it returns.
 
 Shape rules are strict: ``+`` and ``-`` take two tensors of identical
 shape, ``*`` also a Python scalar; there is no implicit broadcasting.
@@ -50,13 +52,10 @@ _buffers = _Buffers()
 def reuse_buffers():
     """Let ``buffer`` reuse this thread's arrays from the previous block.
 
-    Every array drawn inside may be handed out again once the outermost
-    block exits, so nothing drawn may outlive it. On exit the free list
-    keeps exactly the arrays this block drew. A nested block does nothing.
+    Every array drawn inside may be handed out again once the block exits,
+    so nothing drawn may outlive it. On exit the free list keeps exactly
+    the arrays this block drew. Blocks do not nest.
     """
-    if _buffers.drawn is not None:
-        yield
-        return
     _buffers.drawn = []
     try:
         yield
