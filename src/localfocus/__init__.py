@@ -13,27 +13,24 @@ from .data import (DatasetManifest, SampleRecord, gen_fake, gen_real,
 from .errors import (ConfigError, DomainError, ParseError, ShapeError,
                      StateError)
 from .gradcheck import check_gradient
-from .metrics import EvalReport, accuracy, average_precision
-from .model import LfmModel, LossReport, total_param_count
+from .metrics import accuracy, average_precision
+from .model import LfmModel, total_param_count
 from .npr import NprConfig, npr_extract
 from .ops import bce_loss_mean, conv2d, linear, maxpool2d
 from .optim import Adam
-from .pooling import (PooledVectors, TkpConfig, gap_pool, gmp_pool,
-                      rbld_probabilities, tkp_pool)
+from .pooling import TkpConfig, gap_pool, gmp_pool, rbld_probabilities, tkp_pool
 from .ppm import load_ppm, save_ppm
 from .snet import SNet, SNetConfig, output_shape, snet_param_count
 from .tensor import Tensor
-from .train import (BenchReport, TrainConfig, TrainResult, bench, build_model,
-                    evaluate, train)
+from .train import TrainConfig, bench, build_model, evaluate, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adam", "BenchReport", "ConfigError", "DatasetManifest",
-    "DomainError", "EvalReport", "LfmModel", "LossReport", "NprConfig",
-    "ParseError", "PooledVectors", "SNet", "SNetConfig", "SampleRecord",
+    "Adam", "ConfigError", "DatasetManifest", "DomainError", "LfmModel",
+    "NprConfig", "ParseError", "SNet", "SNetConfig", "SampleRecord",
     "ShapeError", "StateError", "Tensor", "TkpConfig", "TrainConfig",
-    "TrainResult", "accuracy", "average_precision",
+    "accuracy", "average_precision",
     "bce_loss_mean", "bench", "build_model", "check_gradient", "conv2d",
     "evaluate", "gap_pool", "gen_fake", "gen_real", "gmp_pool", "linear",
     "load_checkpoint", "load_dataset", "load_ppm", "maxpool2d", "npr_extract",

@@ -213,9 +213,8 @@ def _cmd_gen_data(opts: dict) -> int:
             save_ppm(f.image, os.path.join(out_dir, fname))
             entries.append((rname, r.label, r.source_tag))
             entries.append((fname, f.label, f.source_tag))
-        manifest = DatasetManifest(root=out_dir, entries=entries)
-        manifest.validate()
-        write_manifest(manifest, os.path.join(out_dir, f"{split}_manifest.tsv"))
+        write_manifest(DatasetManifest(root=out_dir, entries=entries),
+                       os.path.join(out_dir, f"{split}_manifest.tsv"))
         splits.append((split, total))
 
     with open(os.path.join(out_dir, "config_used.cfg"), "w", encoding="utf-8") as fh:

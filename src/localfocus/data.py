@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ParseError, require_int
-from .npr import resample_2x
+from .npr import _blocks, resample_2x
 from .ppm import load_ppm
 
 REAL_LABEL = 0
@@ -107,10 +107,8 @@ def gen_real(n: int, size: int, rng: np.random.Generator) -> list[SampleRecord]:
 def _block_zero_mean(noise: np.ndarray) -> np.ndarray:
     """Remove the per-2x2-block mean so the noise has no energy at or
     below the block scale."""
-    c, h, w = noise.shape
-    blocks = noise.reshape(c, h // 2, 2, w // 2, 2)
-    means = blocks.mean(axis=(2, 4), keepdims=True)
-    return (blocks - means).reshape(c, h, w)
+    blocks, _ = _blocks(noise)
+    return (blocks - blocks.mean(axis=(-3, -1), keepdims=True)).reshape(noise.shape)
 
 
 def gen_fake(reals: list[SampleRecord], rng: np.random.Generator) -> list[SampleRecord]:

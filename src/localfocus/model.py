@@ -11,14 +11,14 @@ three numbers and the decomposition is exact by construction.
 
 from __future__ import annotations
 
-import itertools
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError, require_finite_pixels, require_int, require_real
+from .errors import ConfigError, ShapeError, require_finite_pixels, require_int, require_real
 from .npr import NprConfig, npr_extract
-from .ops import bce_loss_mean, linear
+from .ops import _check_labels, bce_loss_mean, linear
 from .pooling import TkpConfig, gap_pool, gmp_pool, tkp_pool
 from .snet import OUT_CHANNELS, SNet, SNetConfig, output_shape
 from .tensor import Tensor, buffer, reuse_buffers
@@ -88,7 +88,11 @@ def _check_input_size(snet_cfg: SNetConfig, pooling: str, k: int, h: int, w: int
         return ho * wo >= _cells_read(pooling, k)
 
     if not fits(h, w):
-        side = next(s for s in itertools.count(2, 2) if fits(s, s))
+        hi = 2  # cells only grow with the side: double past the answer, then bisect
+        while not fits(hi, hi):
+            hi *= 2
+        sides = range(2, hi + 1, 2)
+        side = sides[bisect.bisect_left(sides, True, key=lambda s: fits(s, s))]
         raise ShapeError(f"a {h}x{w} input is too small for this model; "
                          f"the smallest side it scores is {side}")
 
@@ -141,11 +145,6 @@ class LfmModel:
         for p in self.parameters():
             p.zero_grad()
 
-    def check_input_size(self, h: int, w: int) -> None:
-        """Refuse an h x w input whose final maps hold fewer cells than the
-        pooling reads, naming the smallest even square side this model scores."""
-        _check_input_size(self.snet_cfg, self.pooling, self.tkp_cfg.k, h, w)
-
     # -- forward paths ----------------------------------------------------------
 
     def _forward(self, batch: np.ndarray, rng: np.random.Generator | None
@@ -153,7 +152,7 @@ class LfmModel:
         """npr -> snet -> pool -> head over an (N, 3, H, W) batch: the (N, 1)
         top-k probabilities and, when random-k sampling ran, the random-sample
         probabilities (else None)."""
-        self.check_input_size(*batch.shape[-2:])
+        _check_input_size(self.snet_cfg, self.pooling, self.tkp_cfg.k, *batch.shape[-2:])
         maps = self.snet.forward(npr_extract(Tensor(batch), self.npr_cfg))
         if self.pooling == "tkp":
             vec, star, _ = tkp_pool(maps, self.tkp_cfg, rng)
@@ -176,8 +175,7 @@ class LfmModel:
         labels = np.asarray(labels)
         if labels.shape != (len(batch),):
             raise ShapeError(f"got {len(batch)} images but labels shaped {labels.shape}")
-        if not np.all((labels == 0) | (labels == 1)):
-            raise DomainError("labels must be 0 or 1")
+        _check_labels(labels)
 
         self.zero_grad()
         probs, star_probs = self._forward(batch, rng)
@@ -199,9 +197,9 @@ class LfmModel:
     def score(self, image: np.ndarray) -> float:
         """Deterministic fake-probability for one (3, H, W) image.
 
-        The forward reuses this thread's arrays from its last call when that
-        call scored an image of the same shape, and the thread keeps this
-        call's arrays until its next call, so only a scalar copy may leave.
+        Each forward array is the one this thread's last call drew at the same
+        position in its draw order, when the shapes match, and the thread keeps
+        this call's arrays until its next call, so only a scalar copy may leave.
         The recorded graph is freed on return.
         """
         with reuse_buffers():

@@ -84,9 +84,8 @@ def _residual_backward(upstream: np.ndarray) -> np.ndarray:
     itself positively, so with all-ones upstream the anchor gradient is
     1 - 4 = -3 and every other pixel gets 1.
     """
-    lead = upstream.shape[:-2]
-    hh, ww = upstream.shape[-2], upstream.shape[-1]
-    block_sums = upstream.reshape(*lead, hh // 2, 2, ww // 2, 2).sum(axis=(-3, -1))
+    blocks, _ = _blocks(upstream)
     dx = upstream.copy()
-    dx[..., ::2, ::2] -= block_sums
+    _, anchors = _blocks(dx)
+    anchors -= blocks.sum(axis=(-3, -1), keepdims=True)
     return dx

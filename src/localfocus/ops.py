@@ -16,9 +16,9 @@ NHWC view of it is contiguous again. Shapes seen from outside stay NCHW.
 ``maxpool2d`` and the elementwise ops keep whatever layout they are given.
 
 The forward's large arrays (im2col rows, conv products, pooled maps) come
-from ``tensor.buffer``: fresh, except inside ``LfmModel.score``, which hands
-each call the arrays its thread's last call drew if that call's input had
-the same shape. The backward allocates its own.
+from ``tensor.buffer``: fresh, except inside ``LfmModel.score``, where each
+draw gets the array its thread's last call drew at the same position in its
+draw order, if that array has the asked shape. The backward allocates its own.
 
 ``maxpool2d`` is a running maximum over k*k strided tap views, tap
 (i, j) holding element (i, j) of every window. The windows tile the

@@ -14,10 +14,10 @@ and frees it when it returns.
 
 The forward ops draw their large arrays from ``buffer``: ``np.empty``,
 except inside ``reuse_buffers()`` (entered by ``LfmModel.score`` alone),
-where a per-thread free list keyed by shape hands a call the arrays the
-thread's last call drew, instead of fresh pages to fault in, when both
-calls scored images of one shape. A call on another shape allocates
-afresh, and its arrays replace the list when it returns.
+where the i-th draw of a block gets the array the thread's last block drew
+i-th if it has the asked shape (``score`` draws in one order, so a call on
+the last call's image shape gets every array back), else fresh pages. The
+arrays a block drew replace the kept ones when it exits.
 
 Shape rules are strict: ``+`` and ``-`` take two tensors of identical
 shape, ``*`` also a Python scalar; there is no implicit broadcasting.
@@ -37,11 +37,11 @@ _SIGMOID_CLAMP = 1e-12
 
 
 class _Buffers(threading.local):
-    """One thread's arrays: ``free`` by shape, from the last block, and
-    ``drawn``, those the open block handed out (None outside a block)."""
+    """One thread's arrays in draw order: ``last``, from its last block, and
+    ``drawn``, from the open block so far (None outside a block)."""
 
     def __init__(self):
-        self.free: dict[tuple[int, ...], list[np.ndarray]] = {}
+        self.last: list[np.ndarray] = []
         self.drawn: list[np.ndarray] | None = None
 
 
@@ -53,26 +53,25 @@ def reuse_buffers():
     """Let ``buffer`` reuse this thread's arrays from the previous block.
 
     Every array drawn inside may be handed out again once the block exits,
-    so nothing drawn may outlive it. On exit the free list keeps exactly
-    the arrays this block drew. Blocks do not nest.
+    so nothing drawn may outlive it. On exit the thread keeps exactly the
+    arrays this block drew, in draw order. Blocks do not nest.
     """
     _buffers.drawn = []
     try:
         yield
     finally:
-        free: dict[tuple[int, ...], list[np.ndarray]] = {}
-        for a in _buffers.drawn:
-            free.setdefault(a.shape, []).append(a)
-        _buffers.free, _buffers.drawn = free, None
+        _buffers.last, _buffers.drawn = _buffers.drawn, None
 
 
 def buffer(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialised C-ordered float64 array, reused inside ``reuse_buffers``."""
+    """An uninitialised C-ordered float64 array. Inside ``reuse_buffers``
+    the i-th draw is the array the thread's last block drew i-th, when that
+    array has ``shape``."""
     drawn = _buffers.drawn
     if drawn is None:
         return np.empty(shape)
-    kept = _buffers.free.get(shape)
-    a = kept.pop() if kept else np.empty(shape)
+    last, i = _buffers.last, len(drawn)
+    a = last[i] if i < len(last) and last[i].shape == shape else np.empty(shape)
     drawn.append(a)
     return a
 

@@ -95,24 +95,28 @@ def test_only_tensor_wires_gradients_into_the_graph():
     assert {name: lines for name, lines in offenders.items() if lines} == {}
 
 
-def reuse_buffers_readers(source: str) -> list[str]:
-    """For each read of a name or attribute ``reuse_buffers`` in ``source``,
-    the qualified name of the innermost function or class around it
-    (``<module>`` at module level)."""
-    readers = []
+def owners(source: str, matches) -> list[str]:
+    """For each node of ``source`` that ``matches``, the qualified name of
+    the innermost function or class around it (``<module>`` at module level)."""
+    found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, child.name if owner == "<module>" else f"{owner}.{child.name}")
                 continue
-            if ((isinstance(child, ast.Name) and child.id == "reuse_buffers")
-                    or (isinstance(child, ast.Attribute) and child.attr == "reuse_buffers")):
-                readers.append(owner)
+            if matches(child):
+                found.append(owner)
             visit(child, owner)
 
     visit(ast.parse(source), "<module>")
-    return readers
+    return found
+
+
+def reuse_buffers_readers(source: str) -> list[str]:
+    """Owners (see ``owners``) of each read of a name or attribute ``reuse_buffers``."""
+    return owners(source, lambda n: (isinstance(n, ast.Name) and n.id == "reuse_buffers")
+                  or (isinstance(n, ast.Attribute) and n.attr == "reuse_buffers"))
 
 
 def test_only_score_reuses_buffers():
@@ -126,6 +130,40 @@ def test_only_score_reuses_buffers():
     assert reuse_buffers_readers(src) == ["<module>", "M.f.g"]
     readers = {p.name: reuse_buffers_readers(p.read_text(encoding="utf-8")) for p in SOURCES}
     assert {name: funcs for name, funcs in readers.items() if funcs} == {"model.py": ["LfmModel.score"]}
+
+
+def block_splitters(source: str) -> list[str]:
+    """Owners (see ``owners``) in ``source`` that split an array into 2x2
+    blocks: a ``reshape`` call whose argument list or tuples hold
+    ``// 2, 2``, or a slice with a constant step of 2."""
+
+    def _is_two(node) -> bool:
+        return isinstance(node, ast.Constant) and node.value == 2
+
+    def halves(elts) -> bool:
+        return any(isinstance(a, ast.BinOp) and isinstance(a.op, ast.FloorDiv) and _is_two(a.right)
+                   and _is_two(b) for a, b in zip(elts, elts[1:]))
+
+    def splits(node) -> bool:
+        if isinstance(node, ast.Slice):
+            return _is_two(node.step)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "reshape":
+            return halves(node.args) or any(halves(t.elts) for arg in node.args
+                                            for t in ast.walk(arg) if isinstance(t, ast.Tuple))
+        return False
+
+    return sorted(set(owners(source, splits)))
+
+
+def test_only_npr_blocks_splits_the_2x2_grid():
+    # The residual, its adjoint and the generator's block-mean removal all
+    # read the one grid npr._blocks defines.
+    src = ("def f(x, h, w):\n    return x.reshape(3, h // 2, 2, w // 2, 2)\n"
+           "def g(x, h):\n    return x.reshape(x.shape[:1] + (h // 2, 2)), x[..., ::2]\n"
+           "def h(x):\n    return x[::3], x.reshape(4, 2), x[1:2]\n")
+    assert block_splitters(src) == ["f", "g"]
+    splitters = {p.name: block_splitters(p.read_text(encoding="utf-8")) for p in SOURCES}
+    assert {name: funcs for name, funcs in splitters.items() if funcs} == {"npr.py": ["_blocks"]}
 
 
 def hand_written_range_messages(source: str) -> list[int]:

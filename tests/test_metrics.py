@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from localfocus import DomainError, EvalReport, accuracy, average_precision
+from localfocus import DomainError, accuracy, average_precision
+from localfocus.metrics import EvalReport
 
 
 def oracle_accuracy(scores, threshold):

@@ -11,7 +11,7 @@ from dataclasses import replace
 from localfocus import (ConfigError, DomainError, LfmModel, ShapeError,
                         SNetConfig, Tensor, TkpConfig, bce_loss_mean, total_param_count)
 from localfocus.gradcheck import check_gradient, relative_error
-from localfocus.model import _batch
+from localfocus.model import _batch, _check_input_size
 from localfocus.npr import npr_extract
 
 TINY_SNET = SNetConfig(num_conv_layers=4, channel_plan=(8, 16, 32, 64))
@@ -302,16 +302,35 @@ class TestInference:
         (LfmModel(tkp_cfg=TkpConfig(k=1)), 24), (tiny_model(k=2), 24), (tiny_model(k=5), 32),
     ], ids=["tkp", "gap", "gmp", "tkp-k1", "tiny-k2", "tiny-k5"])
     def test_too_small_input_names_the_smallest_side(self, model, smallest):
-        model.check_input_size(smallest, smallest)
+        settings = (model.snet_cfg, model.pooling, model.tkp_cfg.k)
+        _check_input_size(*settings, smallest, smallest)
         model.score(np.zeros((3, smallest, smallest)))
         side = smallest - 2
         with pytest.raises(ShapeError):
-            model.check_input_size(side, side)
+            _check_input_size(*settings, side, side)
         with pytest.raises(ShapeError, match=rf"a {side}x{side} input is too small for this model; "
                                              rf"the smallest side it scores is {smallest}$"):
             model.score(np.zeros((3, side, side)))
         with pytest.raises(ShapeError, match=rf"smallest side it scores is {smallest}$"):
             model.forward_train([np.zeros((3, side, side))] * 2, [0, 1], np.random.default_rng(0))
+
+    @pytest.mark.parametrize("snet_cfg", [SNetConfig(), TINY_SNET], ids=["default", "tiny"])
+    def test_smallest_side_matches_a_linear_scan(self, snet_cfg):
+        def fits(k, s):
+            try:
+                _check_input_size(snet_cfg, "tkp", k, s, s)
+            except ShapeError:
+                return False
+            return True
+
+        for k in (*range(1, 80), 1000, 12345):
+            smallest = next(s for s in range(2, 10**6, 2) if fits(k, s))
+            with pytest.raises(ShapeError, match=rf"the smallest side it scores is {smallest}$"):
+                _check_input_size(snet_cfg, "tkp", k, 2, 2)
+
+    def test_a_huge_k_is_refused_at_once(self):
+        with pytest.raises(ShapeError, match=r"a 64x64 input .* the smallest side it scores is 8000000016$"):
+            _check_input_size(SNetConfig(), "tkp", 10**18, 64, 64)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_image_rejected(self, bad):

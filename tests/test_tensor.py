@@ -247,6 +247,17 @@ class TestBufferReuse:
             buffer((5, 4))
         assert old() is None
 
+    def test_each_draw_reuses_the_array_drawn_at_its_position(self):
+        with reuse_buffers():
+            a, b = buffer((4, 5)), buffer((3, 2))
+            b_ref = weakref.ref(b)
+            del b
+        with reuse_buffers():
+            again, c = buffer((4, 5)), buffer((2, 3))
+        assert again is a
+        assert c.shape == (2, 3) and not np.may_share_memory(c, a)
+        assert b_ref() is None
+
     def test_each_thread_keeps_its_own_buffers(self):
         with reuse_buffers():
             a = buffer((4, 5))
