@@ -14,13 +14,13 @@ from .errors import (ConfigError, DomainError, ParseError, ShapeError,
                      StateError)
 from .gradcheck import check_gradient
 from .metrics import accuracy, average_precision
-from .model import LfmModel, total_param_count
+from .model import LfmModel
 from .npr import NprConfig, npr_extract
 from .ops import bce_loss_mean, conv2d, linear, maxpool2d
 from .optim import Adam
-from .pooling import TkpConfig, gap_pool, gmp_pool, rbld_probabilities, tkp_pool
+from .pooling import TkpConfig, gap_pool, gmp_pool, tkp_pool
 from .ppm import load_ppm, save_ppm
-from .snet import SNet, SNetConfig, output_shape, snet_param_count
+from .snet import SNet, SNetConfig
 from .tensor import Tensor
 from .train import TrainConfig, bench, build_model, evaluate, train
 
@@ -34,8 +34,6 @@ __all__ = [
     "bce_loss_mean", "bench", "build_model", "check_gradient", "conv2d",
     "evaluate", "gap_pool", "gen_fake", "gen_real", "gmp_pool", "linear",
     "load_checkpoint", "load_dataset", "load_ppm", "maxpool2d", "npr_extract",
-    "output_shape", "rbld_probabilities", "read_manifest",
-    "save_checkpoint", "save_ppm",
-    "snet_param_count", "tkp_pool", "total_param_count",
+    "read_manifest", "save_checkpoint", "save_ppm", "tkp_pool",
     "train", "write_manifest",
 ]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, require_finite_pixels, require_int, require_real
-from .npr import NprConfig, npr_extract
+from .npr import NprConfig, _check_grid, npr_extract
 from .ops import _check_labels, bce_loss_mean, linear
 from .pooling import TkpConfig, gap_pool, gmp_pool, tkp_pool
 from .snet import OUT_CHANNELS, SNet, SNetConfig, output_shape
@@ -56,14 +56,9 @@ def _batch(images) -> np.ndarray:
     return np.stack(images, out=buffer((len(images),) + images[0].shape))
 
 
-def _cells_read(pooling: str, k: int) -> int:
-    """Cells of each final map the pooling reads: k under top-k, else 1."""
-    return k if pooling == "tkp" else 1
-
-
 def head_width(pooling: str, k: int) -> int:
     """Length of the vector the head scores: 64*k under top-k pooling, else 64."""
-    return OUT_CHANNELS * _cells_read(pooling, k)
+    return OUT_CHANNELS * (k if pooling == "tkp" else 1)
 
 
 def _check_settings(pooling: str, decision_threshold: float, alpha: float, seed: int) -> None:
@@ -76,19 +71,20 @@ def _check_settings(pooling: str, decision_threshold: float, alpha: float, seed:
 
 
 def _check_input_size(snet_cfg: SNetConfig, pooling: str, k: int, h: int, w: int) -> None:
-    """Refuse an h x w input whose final maps hold fewer cells than the
-    pooling reads, naming the smallest even square side the model scores.
+    """Refuse an h x w input with an odd side or fewer final values than the
+    head reads, naming the smallest even square side the model scores.
     It needs only the settings, so a caller can ask before building the head."""
 
     def fits(h: int, w: int) -> bool:
         try:
-            _, ho, wo = output_shape(snet_cfg, h, w)
+            c, ho, wo = output_shape(snet_cfg, h, w)
         except ShapeError:
             return False
-        return ho * wo >= _cells_read(pooling, k)
+        return c * ho * wo >= head_width(pooling, k)
 
+    _check_grid(h, w)
     if not fits(h, w):
-        hi = 2  # cells only grow with the side: double past the answer, then bisect
+        hi = 2  # values only grow with the side: double past the answer, then bisect
         while not fits(hi, hi):
             hi *= 2
         sides = range(2, hi + 1, 2)

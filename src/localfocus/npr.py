@@ -54,11 +54,15 @@ def resample_2x(data: np.ndarray) -> np.ndarray:
     return np.broadcast_to(anchors, blocks.shape).reshape(data.shape)
 
 
-def _residual(data: np.ndarray) -> np.ndarray:
-    """Signed residual of ``data`` (any rank >= 2; acts on the last two axes)."""
-    h, w = data.shape[-2], data.shape[-1]
+def _check_grid(h: int, w: int) -> None:
+    """Refuse an h x w input that the 2x2 grid does not tile."""
     if h % 2 or w % 2:
         raise ShapeError(f"npr height and width must both be even, got {h}x{w}")
+
+
+def _residual(data: np.ndarray) -> np.ndarray:
+    """Signed residual of ``data`` (any rank >= 2; acts on the last two axes)."""
+    _check_grid(*data.shape[-2:])
     blocks, anchors = _blocks(data)
     out = buffer(data.shape)
     np.subtract(blocks, anchors, out=out.reshape(blocks.shape))

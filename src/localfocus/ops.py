@@ -28,6 +28,9 @@ gradient goes to the first tap that equals its maximum, or to the last
 tap when none did (a NaN window), and every other position gets +0.0.
 The input gradient has the input's strides, so a channels-last input
 gets a channels-last gradient, which conv2d's backward reads without a copy.
+
+``bce_loss_mean`` clips probabilities to [1e-12, 1 - 1e-12] with
+``tensor._CLAMP``, the clamp ``Tensor.sigmoid`` applies to its output.
 """
 
 from __future__ import annotations
@@ -36,9 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DomainError, ShapeError, require_int
-from .tensor import Tensor, buffer, buffer_like
-
-_LOG_CLAMP = 1e-12
+from .tensor import _CLAMP, Tensor, buffer, buffer_like
 
 
 def _as_batch(data: np.ndarray, what: str) -> np.ndarray:
@@ -179,13 +180,12 @@ def bce_loss_mean(y_hat: Tensor, labels) -> Tensor:
     """
     labels = np.asarray(labels, dtype=np.float64).reshape(-1)
     _check_labels(labels)
-    a = y_hat
-    flat = a.data.reshape(-1)
+    flat = y_hat.data.reshape(-1)
     if flat.size != labels.size:
         raise ShapeError(f"bce_loss_mean got {flat.size} probabilities and {labels.size} labels")
     if flat.size == 0:
         raise ShapeError("bce_loss_mean needs at least one probability")
-    p = np.clip(flat, _LOG_CLAMP, 1.0 - _LOG_CLAMP)
+    p = np.clip(flat, _CLAMP, 1.0 - _CLAMP)
     terms = -(labels * np.log(p) + (1.0 - labels) * np.log1p(-p))
     out_data = np.asarray(terms.mean())
 
@@ -193,6 +193,6 @@ def bce_loss_mean(y_hat: Tensor, labels) -> Tensor:
         # Zero gradient where the clamp was active.
         live = flat == p
         dp = -(labels / p - (1.0 - labels) / (1.0 - p)) * live / flat.size
-        return ((float(g) * dp).reshape(a.data.shape),)
+        return ((float(g) * dp).reshape(y_hat.shape),)
 
-    return Tensor._wrap(out_data, (a,), vjp)
+    return Tensor._wrap(out_data, (y_hat,), vjp)

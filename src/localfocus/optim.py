@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, StateError
+from .errors import ConfigError, StateError, require_real
 from .tensor import Tensor
 
 
@@ -30,13 +30,14 @@ EPS = 1e-8
 @dataclass
 class Adam:
     """Adam over a fixed parameter list: one step count ``t`` and one
-    ``m``/``v`` moment buffer per parameter. Only the learning rate is
-    settable; the betas and eps are the module constants above."""
+    ``m``/``v`` moment buffer per parameter. Only the learning rate (a
+    finite real >= 0) is settable; the betas and eps are the constants above."""
 
     params: list[Tensor]
     lr: float = 1e-4
 
     def __post_init__(self):
+        require_real("lr", self.lr)
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]

@@ -95,9 +95,7 @@ def rbld_probabilities(k: int, p_min: float, p_max: float) -> np.ndarray:
 
     k == 1 degenerates to the single probability p_min.
     """
-    if k == 1:
-        return np.asarray([p_min])
-    return p_min + (p_max - p_min) * np.arange(k) / (k - 1)
+    return p_min + (p_max - p_min) * np.arange(k) / max(k - 1, 1)
 
 
 def _scatter(shape: tuple[int, ...], indices: np.ndarray, upstream: np.ndarray) -> np.ndarray:

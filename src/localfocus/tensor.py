@@ -21,6 +21,9 @@ arrays a block drew replace the kept ones when it exits.
 
 Shape rules are strict: ``+`` and ``-`` take two tensors of identical
 shape, ``*`` also a Python scalar; there is no implicit broadcasting.
+
+``_CLAMP`` (1e-12) is the package's one probability clamp: ``sigmoid``'s
+output and ``ops.bce_loss_mean``'s input lie in [_CLAMP, 1 - _CLAMP].
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 
 from .errors import ShapeError
 
-_SIGMOID_CLAMP = 1e-12
+_CLAMP = 1e-12
 
 
 class _Buffers(threading.local):
@@ -245,13 +248,9 @@ class Tensor:
         The clamp keeps downstream log losses finite for saturated
         inputs; gradients use the clamped value in sig*(1-sig).
         """
-        d = self.data
-        out_data = np.empty_like(d)
-        pos = d >= 0
-        out_data[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-        ez = np.exp(d[~pos])
-        out_data[~pos] = ez / (1.0 + ez)
-        np.clip(out_data, _SIGMOID_CLAMP, 1.0 - _SIGMOID_CLAMP, out=out_data)
+        e = np.exp(-np.abs(self.data))  # exp(-x) at x >= 0, exp(x) below: never overflows
+        out_data = np.where(self.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        np.clip(out_data, _CLAMP, 1.0 - _CLAMP, out=out_data)
         return Tensor._wrap(out_data, (self,), lambda g: (g * out_data * (1.0 - out_data),))
 
     def abs(self) -> "Tensor":

@@ -38,7 +38,7 @@ class TrainConfig:
     contradiction and rejected.
     """
 
-    lr: float = 1e-4
+    lr: float = Adam.lr
     batch_size: int = 32
     epochs: int = 1
     seed: int = 0

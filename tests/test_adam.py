@@ -110,6 +110,12 @@ class TestAdamWrapper:
             with pytest.raises(TypeError):
                 Adam([a], **{hyper: 0.9})
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1e-3, "1e-3", True],
+                             ids=["nan", "inf", "negative", "string", "bool"])
+    def test_bad_lr_is_refused_before_any_state(self, lr):
+        with pytest.raises(ConfigError, match=r"^lr must be finite and >= 0, got "):
+            Adam([Tensor(np.zeros(2), requires_grad=True)], lr=lr)
+
     def test_missing_gradient_moves_nothing(self):
         # The check runs over every parameter before any update, so a
         # later missing gradient cannot leave earlier ones stepped.

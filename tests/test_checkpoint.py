@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from localfocus import (DomainError, LfmModel, NprConfig, ParseError, SNetConfig,
-                        TkpConfig, load_checkpoint, save_checkpoint,
-                        total_param_count)
+                        TkpConfig, load_checkpoint, save_checkpoint)
 from localfocus.checkpoint import MAGIC, VERSION, _config_payload
+from localfocus.model import total_param_count
 
 
 def odd_model(pooling="tkp"):

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from localfocus import (NprConfig, ParseError, SNetConfig, TkpConfig,
-                        TrainConfig, load_checkpoint, read_manifest, save_ppm)
+from localfocus import (DatasetManifest, NprConfig, ParseError, SNetConfig, TkpConfig,
+                        TrainConfig, load_checkpoint, read_manifest, save_ppm, write_manifest)
 from localfocus.cli import _TRAIN_FIELDS, main, read_config_file
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -188,6 +188,23 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert ("a 32x32 input is too small for this model; "
                 "the smallest side it scores is 5080") in err
+        assert not (tmp_path / "r").exists()
+
+    def test_odd_side_is_refused_before_the_model_is_built(self, tmp_path, monkeypatch, capsys):
+        def refuse(*a, **k):
+            raise AssertionError("build_model ran before the input-size gate")
+
+        rng = np.random.default_rng(0)
+        entries = []
+        for i in range(8):
+            save_ppm(rng.random((3, 63, 63)), str(tmp_path / f"{i}.ppm"))
+            entries.append((f"{i}.ppm", i % 2, "x"))
+        write_manifest(DatasetManifest(root=str(tmp_path), entries=entries), str(tmp_path / "m.tsv"))
+        monkeypatch.setattr("localfocus.cli.build_model", refuse)
+        rc = main(["train", "--manifest", str(tmp_path / "m.tsv"), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "npr height and width must both be even, got 63x63" in err
         assert not (tmp_path / "r").exists()
 
     def test_negative_gen_data_seed_is_exit_2(self, tmp_path, capsys):

@@ -189,3 +189,16 @@ def test_only_errors_states_integer_floors_and_finite_ranges():
     offenders = {p.name: hand_written_range_messages(p.read_text(encoding="utf-8"))
                  for p in SOURCES if p.name != "errors.py"}
     assert {name: lines for name, lines in offenders.items() if lines} == {}
+
+
+def clamp_literals(source: str) -> list[int]:
+    """Lines of ``source`` holding the float constant 1e-12."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1e-12)
+
+
+def test_only_tensor_states_the_probability_clamp():
+    # Sigmoid's output and the log loss's input share tensor._CLAMP.
+    assert clamp_literals('X = 1e-12\ny = f(1e-12, "1e-12", 1e-6)\nz = 1.0 - 1e-12\n') == [1, 2, 3]
+    found = {p.name: clamp_literals(p.read_text(encoding="utf-8")) for p in PACKAGE}
+    assert {name: len(lines) for name, lines in found.items() if lines} == {"tensor.py": 1}

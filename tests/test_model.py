@@ -9,9 +9,9 @@ import pytest
 from dataclasses import replace
 
 from localfocus import (ConfigError, DomainError, LfmModel, ShapeError,
-                        SNetConfig, Tensor, TkpConfig, bce_loss_mean, total_param_count)
+                        SNetConfig, Tensor, TkpConfig, bce_loss_mean)
 from localfocus.gradcheck import check_gradient, relative_error
-from localfocus.model import _batch, _check_input_size
+from localfocus.model import _batch, _check_input_size, total_param_count
 from localfocus.npr import npr_extract
 
 TINY_SNET = SNetConfig(num_conv_layers=4, channel_plan=(8, 16, 32, 64))
@@ -313,6 +313,14 @@ class TestInference:
             model.score(np.zeros((3, side, side)))
         with pytest.raises(ShapeError, match=rf"smallest side it scores is {smallest}$"):
             model.forward_train([np.zeros((3, side, side))] * 2, [0, 1], np.random.default_rng(0))
+
+    @pytest.mark.parametrize("h, w", [(63, 64), (64, 63), (63, 63)])
+    def test_odd_side_is_refused_by_the_input_gate(self, h, w):
+        model = LfmModel()
+        settings = (model.snet_cfg, model.pooling, model.tkp_cfg.k)
+        _check_input_size(*settings, 64, 64)
+        with pytest.raises(ShapeError, match=rf"^npr height and width must both be even, got {h}x{w}$"):
+            _check_input_size(*settings, h, w)
 
     @pytest.mark.parametrize("snet_cfg", [SNetConfig(), TINY_SNET], ids=["default", "tiny"])
     def test_smallest_side_matches_a_linear_scan(self, snet_cfg):

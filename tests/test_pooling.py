@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from localfocus import (ConfigError, ShapeError, Tensor, TkpConfig, gap_pool,
-                        gmp_pool, rbld_probabilities, tkp_pool)
+from localfocus import ConfigError, ShapeError, Tensor, TkpConfig, gap_pool, gmp_pool, tkp_pool
+from localfocus.pooling import rbld_probabilities
 
 
 def oracle_topk(flat, k):
@@ -102,6 +102,14 @@ class TestRbldProbabilities:
 
     def test_k1_degenerates_to_p_min(self):
         np.testing.assert_array_equal(rbld_probabilities(1, 0.1, 0.3), [0.1])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("band", [(0.1, 0.3), (0.0, 0.5), (0.25, 0.25), (1e-3, 0.9)])
+    def test_ramp_matches_the_branching_formula(self, k, band):
+        # Reference: [p_min] at k == 1, else the ramp divided by k - 1; equal bytes.
+        p_min, p_max = band
+        expect = [p_min] if k == 1 else p_min + (p_max - p_min) * np.arange(k) / (k - 1)
+        assert rbld_probabilities(k, p_min, p_max).tobytes() == np.asarray(expect).tobytes()
 
 
 class TestTopK:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from localfocus import (ConfigError, ShapeError, SNet, SNetConfig, Tensor,
-                        output_shape, snet_param_count)
+from localfocus import ConfigError, ShapeError, SNet, SNetConfig, Tensor
+from localfocus.snet import output_shape, snet_param_count
 
 
 def walk_shapes(cfg: SNetConfig, h: int, w: int) -> list[tuple[int, int]]:

@@ -188,6 +188,20 @@ class TestNonlinearities:
         assert lo == 1e-12
         assert hi == 1.0 - 1e-12
 
+    def test_sigmoid_matches_the_two_branch_formula(self):
+        # Reference: 1/(1+exp(-x)) where x >= 0, exp(x)/(1+exp(x)) elsewhere,
+        # then the clamp; the bytes must be equal.
+        edges = [0.0, 5e-324, 27.6, 36.7, 800.0, 1e308, np.inf]
+        x = np.concatenate([edges, np.negative(edges), np.random.default_rng(3).normal(0, 30, 1000)])
+        ref = np.empty_like(x)
+        pos = x >= 0
+        ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ez = np.exp(x[~pos])
+        ref[~pos] = ez / (1.0 + ez)
+        np.clip(ref, 1e-12, 1.0 - 1e-12, out=ref)
+        assert Tensor(x).sigmoid().data.tobytes() == ref.tobytes()
+        assert np.isnan(Tensor([np.nan]).sigmoid().data).all()
+
     def test_sigmoid_gradient(self):
         x = Tensor([0.3, -1.2], requires_grad=True)
         out = x.sigmoid()
