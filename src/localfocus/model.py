@@ -185,7 +185,7 @@ class LfmModel:
         total.backward()
 
         report = LossReport(loss_a=loss_a.item(), loss_b=loss_b_val, alpha=self.alpha,
-                            total=loss_a.item() + self.alpha * loss_b_val)
+                            total=total.item())
         scores = [float(v) for v in probs.data.reshape(-1)]
         star_scores = None if star_probs is None else [float(v) for v in star_probs.data.reshape(-1)]
         return scores, star_scores, report
@@ -193,10 +193,9 @@ class LfmModel:
     def score(self, image: np.ndarray) -> float:
         """Deterministic fake-probability for one (3, H, W) image.
 
-        Each forward array is the one this thread's last call drew at the same
-        position in its draw order, when the shapes match, and the thread keeps
-        this call's arrays until its next call, so only a scalar copy may leave.
-        The recorded graph is freed on return.
+        The forward's arrays are reused across this thread's calls (the rule
+        ``tensor``'s docstring states), so only a scalar copy may leave. The
+        recorded graph is freed on return.
         """
         with reuse_buffers():
             probs, _ = self._forward(_batch([image]), None)

@@ -16,9 +16,8 @@ NHWC view of it is contiguous again. Shapes seen from outside stay NCHW.
 ``maxpool2d`` and the elementwise ops keep whatever layout they are given.
 
 The forward's large arrays (im2col rows, conv products, pooled maps) come
-from ``tensor.buffer``: fresh, except inside ``LfmModel.score``, where each
-draw gets the array its thread's last call drew at the same position in its
-draw order, if that array has the asked shape. The backward allocates its own.
+from ``tensor.buffer``, whose reuse rule the ``tensor`` module states. The
+backward allocates its own.
 
 ``maxpool2d`` is a running maximum over k*k strided tap views, tap
 (i, j) holding element (i, j) of every window. The windows tile the
@@ -39,7 +38,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DomainError, ShapeError, require_int
-from .tensor import _CLAMP, Tensor, buffer, buffer_like
+from .tensor import _CLAMP, Tensor, buffer
 
 
 def _as_batch(data: np.ndarray, what: str) -> np.ndarray:
@@ -112,6 +111,7 @@ def maxpool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
     A window holding NaN pools to NaN and routes its gradient to its last element.
     """
     require_int("maxpool2d window", k, minimum=1)
+    require_int("maxpool2d stride", stride, minimum=1)
     if stride != k:
         raise ConfigError(f"maxpool2d windows must tile: stride {stride} != window {k}")
     xd = _as_batch(x.data, "maxpool2d input")
@@ -123,7 +123,7 @@ def maxpool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
 
     ho, wo = h // k, w // k
     taps = [np.s_[:, :, i:k * ho:k, j:k * wo:k] for i in range(k) for j in range(k)]
-    pooled = buffer_like(xd[taps[0]])
+    pooled = buffer(xd[taps[0]])
     np.copyto(pooled, xd[taps[0]])
     for tap in taps[1:]:
         np.maximum(pooled, xd[tap], out=pooled)

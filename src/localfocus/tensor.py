@@ -12,12 +12,15 @@ soon as its root is dropped. The model's parameters require gradients, so
 inference (``LfmModel.score``) records a graph too, about 15 nodes per call,
 and frees it when it returns.
 
-The forward ops draw their large arrays from ``buffer``: ``np.empty``,
-except inside ``reuse_buffers()`` (entered by ``LfmModel.score`` alone),
-where the i-th draw of a block gets the array the thread's last block drew
-i-th if it has the asked shape (``score`` draws in one order, so a call on
-the last call's image shape gets every array back), else fresh pages. The
-arrays a block drew replace the kept ones when it exits.
+The forward ops draw their large arrays from ``buffer``, given a shape
+(C order) or the array the result mirrors (numpy's order "K", so a
+channels-last view gets a channels-last array). A draw is fresh
+(``np.empty`` or ``np.empty_like``), except inside ``reuse_buffers()``
+(entered by ``LfmModel.score`` alone), where the i-th draw of a block gets
+the array the thread's last block drew i-th if it has the asked shape
+(``score`` draws in one order, so a call on the last call's image shape
+gets every array back), else a fresh one. The arrays a block drew replace
+the kept ones when it exits, so nothing drawn inside may outlive the block.
 
 Shape rules are strict: ``+`` and ``-`` take two tensors of identical
 shape, ``*`` also a Python scalar; there is no implicit broadcasting.
@@ -53,12 +56,8 @@ _buffers = _Buffers()
 
 @contextlib.contextmanager
 def reuse_buffers():
-    """Let ``buffer`` reuse this thread's arrays from the previous block.
-
-    Every array drawn inside may be handed out again once the block exits,
-    so nothing drawn may outlive it. On exit the thread keeps exactly the
-    arrays this block drew, in draw order. Blocks do not nest.
-    """
+    """Let ``buffer`` reuse this thread's arrays from the previous block, by
+    the rule the module docstring states. Blocks do not nest."""
     _buffers.drawn = []
     try:
         yield
@@ -66,24 +65,17 @@ def reuse_buffers():
         _buffers.last, _buffers.drawn = _buffers.drawn, None
 
 
-def buffer(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialised C-ordered float64 array. Inside ``reuse_buffers``
-    the i-th draw is the array the thread's last block drew i-th, when that
-    array has ``shape``."""
+def buffer(like: tuple[int, ...] | np.ndarray) -> np.ndarray:
+    """An uninitialised array: float64 of shape ``like``, or as
+    ``np.empty_like(like)``; reused inside ``reuse_buffers`` by draw position."""
+    fresh = np.empty if isinstance(like, tuple) else np.empty_like
     drawn = _buffers.drawn
     if drawn is None:
-        return np.empty(shape)
+        return fresh(like)
     last, i = _buffers.last, len(drawn)
-    a = last[i] if i < len(last) and last[i].shape == shape else np.empty(shape)
+    a = last[i] if i < len(last) and last[i].shape == getattr(like, "shape", like) else fresh(like)
     drawn.append(a)
     return a
-
-
-def buffer_like(a: np.ndarray) -> np.ndarray:
-    """``buffer`` with ``a``'s shape and axis order (numpy's order "K"),
-    so a channels-last view gets a channels-last array."""
-    order = sorted(range(a.ndim), key=lambda i: -abs(a.strides[i]))
-    return buffer(tuple(a.shape[i] for i in order)).transpose(np.argsort(order))
 
 
 class Tensor:
@@ -255,10 +247,10 @@ class Tensor:
 
     def abs(self) -> "Tensor":
         """Elementwise absolute value; subgradient at 0 is 0."""
-        return Tensor._wrap(np.abs(self.data, out=buffer_like(self.data)), (self,),
+        return Tensor._wrap(np.abs(self.data, out=buffer(self.data)), (self,),
                             lambda g: (g * np.sign(self.data),))
 
     def relu(self) -> "Tensor":
         """Elementwise max(x, 0); subgradient at 0 is 0."""
-        return Tensor._wrap(np.maximum(self.data, 0.0, out=buffer_like(self.data)), (self,),
+        return Tensor._wrap(np.maximum(self.data, 0.0, out=buffer(self.data)), (self,),
                             lambda g: (g * (self.data > 0.0),))

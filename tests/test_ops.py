@@ -253,6 +253,11 @@ class TestMaxPool2d:
             maxpool2d(x, 2.0, 2.0)
         with pytest.raises(ConfigError, match="^maxpool2d window must be >= 1, got 0$"):
             maxpool2d(x, 0, 0)
+        with pytest.raises(ConfigError, match="^maxpool2d stride must be an integer, got True$"):
+            maxpool2d(x, 1, True)
+        with pytest.raises(ConfigError, match="^maxpool2d stride must be an integer, got 2.0$"):
+            maxpool2d(x, 2, 2.0)
+        assert maxpool2d(x, 2, 2).shape == (1, 2, 2)
         assert maxpool2d(x, np.int64(2), np.int64(2)).shape == (1, 2, 2)
 
     def test_batched_matches_looped(self):

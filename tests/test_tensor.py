@@ -9,7 +9,7 @@ import pytest
 
 from localfocus import ShapeError, Tensor, gap_pool
 from localfocus.gradcheck import check_gradient
-from localfocus.tensor import buffer, buffer_like, reuse_buffers
+from localfocus.tensor import buffer, reuse_buffers
 
 
 class TestBasics:
@@ -286,9 +286,13 @@ class TestBufferReuse:
         with reuse_buffers():
             assert buffer((4, 5)) is a
 
-    def test_like_keeps_the_axis_order(self):
-        channels_last = np.empty((2, 5, 4, 3)).transpose(0, 3, 1, 2)
-        for reuse in (False, True):
+    @pytest.mark.parametrize("like", [
+        np.empty((2, 3, 4, 5)),
+        np.empty((2, 5, 4, 3)).transpose(0, 3, 1, 2),
+        np.empty((2, 6, 8, 3)).transpose(0, 3, 1, 2)[:, :, 0:6:2, 0:8:2],  # maxpool2d's first tap
+    ], ids=["c-order", "channels-last", "stride-2-tap"])
+    def test_like_keeps_the_axis_order(self, like):
+        for reuse in (False, True, True):
             with reuse_buffers() if reuse else contextlib.nullcontext():
-                b = buffer_like(channels_last)
-            assert b.shape == channels_last.shape and b.strides == channels_last.strides
+                b = buffer(like)
+            assert b.shape == like.shape and b.strides == np.empty_like(like).strides
