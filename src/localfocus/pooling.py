@@ -15,7 +15,7 @@ Two training-only regularizers ride on top:
   single largest response. Zeroed entries stay in place; survivors are
   not rescaled.
 * Random-k sampling (RKS): k positions per channel drawn uniformly
-  without replacement, values sorted ascending, concatenated the same
+  without replacement, ranked as top-k ranks, concatenated the same
   way. Scored by the same classifier head as an auxiliary target.
 
 Both run exactly when the caller passes an rng (a training step); a call
@@ -98,14 +98,21 @@ def rbld_probabilities(k: int, p_min: float, p_max: float) -> np.ndarray:
     return p_min + (p_max - p_min) * np.arange(k) / max(k - 1, 1)
 
 
-def _scatter(shape: tuple[int, ...], indices: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Gradient on maps of ``shape`` from upstream values read at
-    ``indices`` (flat positions, one row per map). Positions are unique
-    within a row, so each lands once and no accumulation is needed."""
-    rows, k = indices.shape
-    grad = np.zeros((rows, shape[-2] * shape[-1]))
-    np.put_along_axis(grad, indices, upstream.reshape(rows, k), axis=1)
-    return grad.reshape(shape)
+def _gather(x: Tensor, indices: np.ndarray, dropped: np.ndarray | None = None) -> Tensor:
+    """The (N, C*k) tensor of ``x``'s cells at ``indices`` (flat map
+    positions, unique within each row), ``dropped`` entries set to 0."""
+    n, c, h, w = x.data.shape
+    values = np.take_along_axis(x.data.reshape(n * c, h * w), indices, axis=1)
+    if dropped is not None:
+        values[dropped] = 0.0
+
+    def vjp(g):
+        up = g.reshape(indices.shape)
+        grad = np.zeros((n * c, h * w))
+        np.put_along_axis(grad, indices, up if dropped is None else up * ~dropped, axis=1)
+        return (grad.reshape(n, c, h, w),)
+
+    return Tensor._wrap(values.reshape(n, -1), (x,), vjp)
 
 
 def tkp_pool(x: Tensor, cfg: TkpConfig, rng: np.random.Generator | None = None
@@ -131,27 +138,20 @@ def tkp_pool(x: Tensor, cfg: TkpConfig, rng: np.random.Generator | None = None
         raise ConfigError(f"tkp k={cfg.k} exceeds map size {h}x{w}={h * w}")
 
     flat = x.data.reshape(n * c, h * w)
-    # The stable sort ranks ties by flat index: the (value, index) order.
-    selected = np.argsort(flat, axis=1, kind="stable")[:, h * w - cfg.k:]
-    vector = np.take_along_axis(flat, selected, axis=1)
+    ranked = np.lexsort((flat,), axis=1)  # stable: the (value, index) order
+    selected = ranked[:, -cfg.k:]
     dropped = star_idx = out_star = None
     if rng is not None and cfg.rbld_enabled:
         dropped = rng.random(selected.shape) <= rbld_probabilities(cfg.k, cfg.p_min, cfg.p_max)
-        vector[dropped] = 0.0
-
-    def vjp_vec(g):
-        up = g.reshape(selected.shape)
-        return (_scatter(x.data.shape, selected, up if dropped is None else up * ~dropped),)
-
-    out_vec = Tensor._wrap(vector.reshape(n, -1), (x,), vjp_vec)
+    out_vec = _gather(x, selected, dropped)
 
     if rng is not None and cfg.rks_enabled:
-        pick = np.argpartition(rng.random(flat.shape), cfg.k - 1, axis=1)[:, :cfg.k]
-        picked = np.take_along_axis(flat, pick, axis=1)
-        order = np.lexsort((pick, picked))
-        star_idx = np.take_along_axis(pick, order, axis=1)
-        out_star = Tensor._wrap(np.take_along_axis(picked, order, axis=1).reshape(n, -1), (x,),
-                                lambda g: (_scatter(x.data.shape, star_idx, g),))
+        # The sampled cells (the k smallest keys), in top-k's ranking.
+        sampled = np.zeros(flat.shape, dtype=bool)
+        np.put_along_axis(sampled, np.argpartition(rng.random(flat.shape), cfg.k - 1, axis=1)[:, :cfg.k],
+                          True, axis=1)
+        star_idx = ranked[np.take_along_axis(sampled, ranked, axis=1)].reshape(-1, cfg.k)
+        out_star = _gather(x, star_idx)
 
     return out_vec, out_star, PooledVectors(selected, star_idx, dropped)
 

@@ -5,8 +5,8 @@ product: ``vjp(g)`` maps the output gradient ``g`` to one gradient per
 parent, in order, and may return ``None`` only for a parent that needs none.
 ``_wrap`` alone records the graph edge, and only when some parent requires
 gradients. ``Tensor.backward`` walks it once from a scalar root in reverse
-topological order, releasing each node as it goes; only leaves (parameters,
-inputs) keep ``.grad``. A recorded closure holds its output weakly, so
+order of when the nodes were made, releasing each node as it goes; only
+leaves (parameters, inputs) keep ``.grad``. A recorded closure holds its output weakly, so
 the graph has no reference cycle and one that nobody walks is freed as
 soon as its root is dropped. The model's parameters require gradients, so
 inference (``LfmModel.score``) records a graph too, about 15 nodes per call,
@@ -17,10 +17,11 @@ The forward ops draw their large arrays from ``buffer``, given a shape
 channels-last view gets a channels-last array). A draw is fresh
 (``np.empty`` or ``np.empty_like``), except inside ``reuse_buffers()``
 (entered by ``LfmModel.score`` alone), where the i-th draw of a block gets
-the array the thread's last block drew i-th if it has the asked shape
-(``score`` draws in one order, so a call on the last call's image shape
-gets every array back), else a fresh one. The arrays a block drew replace
-the kept ones when it exits, so nothing drawn inside may outlive the block.
+the array the thread's last block drew i-th if that draw asked for the
+same shape, or mirrored an array of the same shape and strides (``score``
+draws in one order, so a call on the last call's image shape gets every
+array back), else a fresh one. The arrays a block drew replace the kept
+ones when it exits, so nothing drawn inside may outlive the block.
 
 Shape rules are strict: ``+`` and ``-`` take two tensors of identical
 shape, ``*`` also a Python scalar; there is no implicit broadcasting.
@@ -32,6 +33,7 @@ output and ``ops.bce_loss_mean``'s input lie in [_CLAMP, 1 - _CLAMP].
 from __future__ import annotations
 
 import contextlib
+import itertools
 import threading
 import weakref
 
@@ -40,15 +42,16 @@ import numpy as np
 from .errors import ShapeError
 
 _CLAMP = 1e-12
+_stamps = itertools.count()
 
 
 class _Buffers(threading.local):
-    """One thread's arrays in draw order: ``last``, from its last block, and
-    ``drawn``, from the open block so far (None outside a block)."""
+    """One thread's (request, array) pairs in draw order: ``last``, from its
+    last block, and ``drawn``, from the open block so far (None outside one)."""
 
     def __init__(self):
-        self.last: list[np.ndarray] = []
-        self.drawn: list[np.ndarray] | None = None
+        self.last: list[tuple[tuple, np.ndarray]] = []
+        self.drawn: list[tuple[tuple, np.ndarray]] | None = None
 
 
 _buffers = _Buffers()
@@ -68,13 +71,14 @@ def reuse_buffers():
 def buffer(like: tuple[int, ...] | np.ndarray) -> np.ndarray:
     """An uninitialised array: float64 of shape ``like``, or as
     ``np.empty_like(like)``; reused inside ``reuse_buffers`` by draw position."""
-    fresh = np.empty if isinstance(like, tuple) else np.empty_like
+    shaped = isinstance(like, tuple)
+    fresh, request = (np.empty, like) if shaped else (np.empty_like, (like.shape, like.strides))
     drawn = _buffers.drawn
     if drawn is None:
         return fresh(like)
     last, i = _buffers.last, len(drawn)
-    a = last[i] if i < len(last) and last[i].shape == getattr(like, "shape", like) else fresh(like)
-    drawn.append(a)
+    a = last[i][1] if i < len(last) and last[i][0] == request else fresh(like)
+    drawn.append((request, a))
     return a
 
 
@@ -88,7 +92,7 @@ class Tensor:
         requires_grad: whether backward should reach this tensor.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_stamp", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -107,10 +111,12 @@ class Tensor:
         ``vjp`` and accumulates each result into its parent, skipping
         parents that do not require gradients. It reads the output through
         a weak reference, so the output and its closure form no cycle.
+        A recorded output is stamped after its parents, so stamps order the walk.
         """
         out = Tensor(data)
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
+            out._stamp = next(_stamps)
             out._parents = tuple(p for p in parents if p.requires_grad)
             output = weakref.ref(out)
 
@@ -162,40 +168,31 @@ class Tensor:
     def backward(self) -> None:
         """Backpropagate from this single-element root (gradient one), then release the graph.
 
-        Each node's closure, parent links and (for an op output) gradient
-        are dropped right after its closure runs. A closure holds the
-        tensor it produced only weakly, so a graph nobody walks is freed by
-        reference counting once its root is dropped; releasing during the
-        walk also frees what each op kept for its backward (conv's im2col
-        rows) before the walk reaches the ops below it.
+        Recorded nodes run in reverse order of their ``_wrap`` stamps, so a
+        node's consumers all run before it. Each node's closure, parent
+        links and gradient are dropped right after its closure runs. A closure holds the tensor it produced only weakly,
+        so a graph nobody walks is freed by reference counting once its
+        root is dropped; releasing during the walk also frees what each op
+        kept for its backward (conv's im2col rows) before the walk reaches
+        the ops below it.
         """
         if not self.requires_grad:
             return
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a single-element tensor, got shape {self.shape}")
 
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        recorded, stack = {}, [self]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
+            node = stack.pop()
+            if node._backward is not None and node._stamp not in recorded:
+                recorded[node._stamp] = node
+                stack.extend(node._parents)
 
         self._accumulate(np.ones_like(self.data), [])
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward()
-                node.grad = None
-            node._backward = None
+        for stamp in sorted(recorded, reverse=True):
+            node = recorded.pop(stamp)
+            node._backward()
+            node.grad = node._backward = None
             node._parents = ()
 
     # -- arithmetic ---------------------------------------------------------

@@ -242,6 +242,51 @@ class TestRks:
         np.testing.assert_allclose(rates, 3 / 9, atol=0.06)
 
 
+def twin_star_indices(xs, k, seed, rbld):
+    """Random-k oracle: a twin generator replays the draws, the (rows, k)
+    dropout uniforms when RBLD is on, then the (rows, H*W) keys. Each row
+    samples the cells of its k smallest keys and ranks them by (value,
+    index), NaN last."""
+    flat = xs.reshape(-1, xs.shape[-2] * xs.shape[-1])
+    twin = np.random.default_rng(seed)
+    if rbld:
+        twin.random((len(flat), k))
+    keys = twin.random(flat.shape)
+    rows = []
+    for row, key in zip(flat.tolist(), keys):
+        sample = sorted(range(len(row)), key=lambda j: key[j])[:k]
+        rows.append(sorted(sample, key=lambda j: (row[j] != row[j], 0.0 if row[j] != row[j] else row[j], j)))
+    return np.array(rows)
+
+
+class TestRksSample:
+    """random-k keeps the exact sample and order of the twin-generator oracle."""
+
+    @staticmethod
+    def maps(kind):
+        rng = np.random.default_rng(23)
+        if kind == "constant":
+            return np.full((2, 3, 4, 4), 0.5)
+        xs = rng.choice([0.0, 0.25, 0.5, 1.0], size=(2, 3, 4, 4))
+        if kind == "non-finite":
+            xs[rng.random(xs.shape) < 0.3] = -np.inf
+            xs[rng.random(xs.shape) < 0.2] = np.nan
+        return xs
+
+    @pytest.mark.parametrize("rbld", [True, False], ids=["rbld", "no-rbld"])
+    @pytest.mark.parametrize("kind", ["constant", "four-level", "non-finite"])
+    @pytest.mark.parametrize("k", [1, 5, 16])
+    def test_star_indices_match_the_twin_draw(self, kind, k, rbld):
+        xs = self.maps(kind)
+        for seed in range(5):
+            cfg = TkpConfig(k=k, rbld_enabled=rbld)
+            _, star, record = tkp_pool(Tensor(xs), cfg, np.random.default_rng(seed))
+            expect = twin_star_indices(xs, k, seed, rbld)
+            np.testing.assert_array_equal(record.star_indices, expect)
+            np.testing.assert_array_equal(star.data.reshape(expect.shape),
+                                          np.take_along_axis(xs.reshape(6, 16), expect, axis=1))
+
+
 class TestBackward:
     def test_routes_to_selected_positions(self):
         maps = np.arange(9.0).reshape(1, 3, 3)

@@ -170,6 +170,32 @@ class TestArithmetic:
         for node in nodes:
             assert node._backward is None and node._parents == ()
 
+    def test_backward_leaves_an_interleaved_graph_alone(self):
+        # The sibling's nodes are made between the root graph's nodes, so
+        # their stamps fall inside the range the walk runs over.
+        a = Tensor([2.0, -1.0], requires_grad=True)
+        b = Tensor([3.0], requires_grad=True)
+        h = a * 3.0
+        s1 = b * 5.0
+        g = h.relu()
+        s2 = s1 * s1
+        y = (g + a).sum()
+        s3 = s2.sum()
+        y.backward()
+        np.testing.assert_array_equal(a.grad, [4.0, 1.0])
+        assert b.grad is None
+        for node in (s1, s2, s3):
+            assert node._backward is not None and node._parents
+        s3.backward()
+        np.testing.assert_array_equal(b.grad, [150.0])  # d(25 b^2)/db at b = 3
+
+    def test_three_consumers_sum_every_contribution(self):
+        a = Tensor([1.5, -2.0], requires_grad=True)
+        h = a * 2.0  # [3, -4]
+        (h * 3.0 + h * 5.0 + h.relu()).sum().backward()
+        # dy/dh = 3 + 5 + [h > 0], and dy/da = 2 dy/dh.
+        np.testing.assert_array_equal(a.grad, [2.0 * (3.0 + 5.0 + 1.0), 2.0 * (3.0 + 5.0 + 0.0)])
+
     def test_no_grad_inputs_build_no_graph(self):
         a = Tensor([1.0])
         out = a.relu()
@@ -271,6 +297,16 @@ class TestBufferReuse:
         assert again is a
         assert c.shape == (2, 3) and not np.may_share_memory(c, a)
         assert b_ref() is None
+
+    def test_a_draw_of_another_layout_is_fresh(self):
+        c_order = np.empty((2, 3, 5, 4))
+        channels_last = np.empty((2, 5, 4, 3)).transpose(0, 3, 1, 2)
+        with reuse_buffers():
+            first = buffer(c_order)
+        with reuse_buffers():
+            second = buffer(channels_last)
+        assert not np.may_share_memory(first, second)
+        assert second.strides == np.empty_like(channels_last).strides
 
     def test_each_thread_keeps_its_own_buffers(self):
         with reuse_buffers():
