@@ -6,11 +6,11 @@ parent, in order, and may return ``None`` only for a parent that needs none.
 ``_wrap`` alone records the graph edge, and only when some parent requires
 gradients. ``Tensor.backward`` walks it once from a scalar root in reverse
 order of when the nodes were made, releasing each node as it goes; only
-leaves (parameters, inputs) keep ``.grad``. A recorded closure holds its output weakly, so
-the graph has no reference cycle and one that nobody walks is freed as
-soon as its root is dropped. The model's parameters require gradients, so
-inference (``LfmModel.score``) records a graph too, about 15 nodes per call,
-and frees it when it returns.
+leaves (parameters, inputs) keep ``.grad``. A recorded closure holds its
+output weakly, so the graph has no reference cycle and one that nobody
+walks is freed as soon as its root is dropped. The model's parameters
+require gradients, so inference (``LfmModel.score``) records a graph too,
+about 15 nodes per call, and frees it when it returns.
 
 The forward ops draw their large arrays from ``buffer``, given a shape
 (C order) or the array the result mirrors (numpy's order "K", so a
@@ -170,11 +170,11 @@ class Tensor:
 
         Recorded nodes run in reverse order of their ``_wrap`` stamps, so a
         node's consumers all run before it. Each node's closure, parent
-        links and gradient are dropped right after its closure runs. A closure holds the tensor it produced only weakly,
-        so a graph nobody walks is freed by reference counting once its
-        root is dropped; releasing during the walk also frees what each op
-        kept for its backward (conv's im2col rows) before the walk reaches
-        the ops below it.
+        links and gradient are dropped right after its closure runs. A
+        closure holds the tensor it produced only weakly, so a graph nobody
+        walks is freed by reference counting once its root is dropped;
+        releasing during the walk also frees what each op kept for its
+        backward (conv's im2col rows) before the walk reaches its inputs.
         """
         if not self.requires_grad:
             return
@@ -189,8 +189,7 @@ class Tensor:
                 stack.extend(node._parents)
 
         self._accumulate(np.ones_like(self.data), [])
-        for stamp in sorted(recorded, reverse=True):
-            node = recorded.pop(stamp)
+        for _, node in sorted(recorded.items(), reverse=True):
             node._backward()
             node.grad = node._backward = None
             node._parents = ()

@@ -1,6 +1,7 @@
 """Autograd engine: values, gradients, and graph bookkeeping."""
 
 import contextlib
+import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -195,6 +196,27 @@ class TestArithmetic:
         (h * 3.0 + h * 5.0 + h.relu()).sum().backward()
         # dy/dh = 3 + 5 + [h > 0], and dy/da = 2 dy/dh.
         np.testing.assert_array_equal(a.grad, [2.0 * (3.0 + 5.0 + 1.0), 2.0 * (3.0 + 5.0 + 0.0)])
+
+    def test_graphs_built_in_threads_at_once_walk_alone(self):
+        # Stamps come from one counter, so graphs built at once interleave theirs.
+        def chain(seed):
+            x = Tensor(np.random.default_rng(seed).normal(size=8), requires_grad=True)
+            h = x
+            for _ in range(30):
+                h = (h * 0.5 + x).relu()
+            h.sum().backward()
+            return x.grad
+
+        expect = [chain(seed) for seed in range(16)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                got = [f.result(timeout=120) for f in [pool.submit(chain, seed) for seed in range(16)]]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(got, expect):
+            np.testing.assert_array_equal(a, b)
 
     def test_no_grad_inputs_build_no_graph(self):
         a = Tensor([1.0])
