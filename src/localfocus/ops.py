@@ -2,20 +2,24 @@
 
 All ops run in float64. ``conv2d`` and ``maxpool2d`` take an
 ``N x C x H x W`` batch, or one ``C x H x W`` image run as a batch of one
-(its output has no batch axis). A batch gives the same arithmetic as a
-loop over its images (equal to float64 roundoff; BLAS may block the
-larger matmul differently) from one im2col matmul per layer instead of N.
+(its output has no batch axis). A batch gives the same bytes as a loop
+over its images: each image runs the same matmuls.
 
-``conv2d`` works channels-last (NHWC, PyTorch's "channels_last"): it
-copies each k x k window of the NHWC view of its input into one im2col
-row (Chellapilla et al. 2006) in (kh, kw, cin) order, so every tap copies
-contiguous channel runs, and multiplies by the weight reordered to
-(kh*kw*cin, cout). The (n*ho*wo, cout) product is NHWC memory; it is
-returned as an NCHW-shaped view without a copy, and the next layer's
-NHWC view of it is contiguous again. Shapes seen from outside stay NCHW.
-``maxpool2d`` and the elementwise ops keep whatever layout they are given.
+``conv2d`` works channels-last (NHWC, PyTorch's "channels_last"). Its
+forward runs one image and one band of output rows at a time, the band
+sized by ``_BAND_BYTES`` so its rows stay in cache (Goto & van de Geijn
+2008): it copies each k x k window of the NHWC view of its input into one
+im2col row (Chellapilla et al. 2006) in (kh, kw, cin) order, so every tap
+copies contiguous channel runs, multiplies the band's rows by the weight
+reordered to (kh*kw*cin, cout) into the output and adds the bias there.
+The (n*ho*wo, cout) output is NHWC memory; it is returned as an
+NCHW-shaped view without a copy, and the next layer's NHWC view of it is
+contiguous again. Shapes seen from outside stay NCHW. The backward keeps
+no rows from the forward: it rebuilds the layer's rows for the weight
+gradient and frees them before forming the input gradient. ``maxpool2d``
+and the elementwise ops keep whatever layout they are given.
 
-The forward's large arrays (im2col rows, conv products, pooled maps) come
+The forward's large arrays (conv row bands and outputs, pooled maps) come
 from ``tensor.buffer``, whose reuse rule the ``tensor`` module states. The
 backward allocates its own.
 
@@ -40,6 +44,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, DomainError, ShapeError, require_int
 from .tensor import _CLAMP, Tensor, buffer
 
+# One conv2d band's bytes: its im2col rows plus their products.
+_BAND_BYTES = 1 << 20
+
 
 def _as_batch(data: np.ndarray, what: str) -> np.ndarray:
     """Return a 4-D view of a CxHxW image or an NxCxHxW batch."""
@@ -53,8 +60,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
     """Cross-correlate ``x`` with ``weight`` and add the per-channel ``bias``.
 
     Output spatial extent per axis is floor((in + 2*padding - k)/stride) + 1.
-    Implemented as im2col + one matmul; backward scatters through the
-    same column layout.
+    The forward runs im2col, matmul and bias one band of output rows at a
+    time; the backward rebuilds the layer's im2col rows for the weight
+    gradient and scatters the input gradient through the same row layout.
     """
     require_int("conv2d stride", stride, minimum=1)
     require_int("conv2d padding", padding, minimum=0)
@@ -79,17 +87,26 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
     xp = np.pad(xh, ((0, 0), (padding, padding), (padding, padding), (0, 0))) if padding else xh
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    # (n, ho, wo, cin, kh, kw) -> one (kh, kw, cin) row per output pixel
-    col = buffer((n * ho * wo, kh * kw * cin))
-    np.copyto(col.reshape(n, ho, wo, kh, kw, cin), win.transpose(0, 1, 2, 4, 5, 3))
-    wmat = weight.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
-    flat = np.matmul(col, wmat.T, out=buffer((n * ho * wo, cout)))
-    flat += bias.data
+    kk = kh * kw * cin
+    # (n, ho, wo, kh, kw, cin): one (kh, kw, cin) im2col row per output pixel
+    taps = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
+    wmat = weight.data.transpose(0, 2, 3, 1).reshape(cout, kk)
+    band = max(1, min(ho, _BAND_BYTES // (8 * wo * (kk + cout))))
+    col = buffer((band * wo, kk))
+    flat = buffer((n * ho * wo, cout))
+    for i in range(n):
+        for r in range(0, ho, band):
+            m = min(band, ho - r)
+            rows = col[:m * wo]
+            np.copyto(rows.reshape(m, wo, kh, kw, cin), taps[i, r:r + m])
+            y = np.matmul(rows, wmat.T, out=flat[(i * ho + r) * wo:(i * ho + r + m) * wo])
+            y += bias.data
     out_data = flat.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2).reshape(x.data.shape[:-3] + (cout, ho, wo))
 
     def vjp(g):
         gmat = g.reshape(n, cout, ho, wo).transpose(0, 2, 3, 1).reshape(n * ho * wo, cout)
+        # The rebuilt rows are freed before dcol is drawn.
+        dw = gmat.T @ np.ascontiguousarray(taps).reshape(n * ho * wo, kk)
         dx = None
         if x.requires_grad:  # conv1 reads the residual, which needs none
             dcol = (gmat @ wmat).reshape(n, ho, wo, kh, kw, cin)
@@ -98,7 +115,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
                 for j in range(kw):
                     dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcol[:, :, :, i, j]
             dx = dxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2).reshape(x.data.shape)
-        return dx, (gmat.T @ col).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2), np.einsum("ij->j", gmat)
+        return dx, dw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2), np.einsum("ij->j", gmat)
 
     return Tensor._wrap(out_data, (x, weight, bias), vjp)
 

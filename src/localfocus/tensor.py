@@ -173,8 +173,9 @@ class Tensor:
         links and gradient are dropped right after its closure runs. A
         closure holds the tensor it produced only weakly, so a graph nobody
         walks is freed by reference counting once its root is dropped;
-        releasing during the walk also frees what each op kept for its
-        backward (conv's im2col rows) before the walk reaches its inputs.
+        releasing during the walk also frees what a closure alone kept
+        for its backward (a pooling's gather indices, a padded conv's
+        padded input) before the walk reaches its inputs.
         """
         if not self.requires_grad:
             return

@@ -66,6 +66,22 @@ def test_failures_and_workloads_are_kept_apart():
     assert s["train-64"] == {"pairs": 0, "failed_ops": 0, "all_correct": False}
 
 
+def test_each_run_keeps_the_load_it_saw(tmp_path):
+    # A stand-in for perfbench/run.py that prints an env line and a result line.
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        'import json\n'
+        'print("env " + json.dumps({"nproc": 2, "loadavg_1m_before": 1.25, "loadavg_1m_after": 1.5}))\n'
+        'print(json.dumps({"correct": True, "attempted": 3, "failed": 0}))\n')
+    result, env = bench_pairs.run_once(str(tmp_path), "infer-64", 5, 1)
+    entry = bench_pairs.run_entry("change", "infer-64", 5, 0, result, env)
+    assert entry == {"side": "change", "workload": "infer-64", "seed": 5, "pair": 0,
+                     "result": {"correct": True, "attempted": 3, "failed": 0},
+                     "loadavg_1m_before": 1.25, "loadavg_1m_after": 1.5}
+    crashed = bench_pairs.run_entry("parent", "infer-64", 5, 0, {"correct": False}, {})
+    assert crashed["loadavg_1m_before"] is None and crashed["loadavg_1m_after"] is None
+
+
 @pytest.mark.parametrize("text, seeds", [("7-9", [7, 8, 9]), ("4,2", [4, 2]), ("5", [5])])
 def test_seed_lists(text, seeds):
     assert bench_pairs.parse_seeds(text) == seeds

@@ -7,6 +7,7 @@ import pytest
 
 from localfocus import (ConfigError, DomainError, ShapeError, Tensor,
                         bce_loss_mean, conv2d, linear, maxpool2d)
+from localfocus import ops, tensor
 from localfocus.gradcheck import check_gradient
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -177,9 +178,7 @@ class TestConv2d:
     def test_channels_last_input_matches_contiguous(self, shape, stride, padding):
         rng = np.random.default_rng(9)
         x0 = rng.normal(size=shape)
-        lead = len(shape) - 3
-        perm = tuple(range(lead)) + (lead + 1, lead + 2, lead)
-        x_cl = np.ascontiguousarray(x0.transpose(perm)).transpose(np.argsort(perm))
+        x_cl = channels_last(x0)
         assert not x_cl.flags.c_contiguous and np.array_equal(x_cl, x0)
         w0, b0 = rng.normal(size=(4, shape[-3], 2, 2)), rng.normal(size=4)
         results = []
@@ -198,6 +197,105 @@ class TestConv2d:
                      Tensor(rng.normal(size=5)))
         for t in (out, maxpool2d(out), maxpool2d(out).relu()):
             assert t.data.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+def oracle_conv2d(xd, wd, bd, g, stride, padding):
+    """The whole-layer conv2d: one im2col matrix for the batch, one matmul,
+    one bias pass, and a backward that reads the same rows. Returns the
+    output and the x, weight and bias gradients for the output gradient ``g``."""
+    x4 = xd if xd.ndim == 4 else xd[None]
+    n, cin, h, w = x4.shape
+    cout, _, kh, kw = wd.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    xh = x4.transpose(0, 2, 3, 1)
+    xp = np.pad(xh, ((0, 0), (padding, padding), (padding, padding), (0, 0))) if padding else xh
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    col = np.empty((n * ho * wo, kh * kw * cin))
+    np.copyto(col.reshape(n, ho, wo, kh, kw, cin), win.transpose(0, 1, 2, 4, 5, 3))
+    wmat = wd.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
+    flat = np.matmul(col, wmat.T, out=np.empty((n * ho * wo, cout)))
+    flat += bd
+    out = flat.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2).reshape(xd.shape[:-3] + (cout, ho, wo))
+
+    gmat = g.reshape(n, cout, ho, wo).transpose(0, 2, 3, 1).reshape(n * ho * wo, cout)
+    dcol = (gmat @ wmat).reshape(n, ho, wo, kh, kw, cin)
+    dxp = np.zeros((n, hp, wp, cin))
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcol[:, :, :, i, j]
+    dx = dxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2).reshape(xd.shape)
+    dw = (gmat.T @ col).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
+    return out, dx, dw, np.einsum("ij->j", gmat)
+
+
+def channels_last(a):
+    """``a`` with channels-last memory: equal values, NCHW-shaped view."""
+    lead = a.ndim - 3
+    perm = tuple(range(lead)) + (lead + 1, lead + 2, lead)
+    return np.ascontiguousarray(a.transpose(perm)).transpose(np.argsort(perm))
+
+
+class TestConv2dBands:
+    """The banded forward and its rebuilt-rows backward give the bytes of
+    the whole-layer form, whatever the band height."""
+
+    @pytest.mark.parametrize("rows", [1, 3], ids=["1-row", "3-row"])
+    @pytest.mark.parametrize("shape,w_shape,stride,padding,layout", [
+        ((2, 3, 8, 7), (4, 3, 2, 2), 1, 0, "nchw"),
+        ((2, 3, 8, 7), (4, 3, 2, 2), 1, 0, "channels-last"),
+        ((2, 3, 9, 8), (5, 3, 3, 3), 2, 1, "nchw"),
+        ((2, 3, 9, 8), (5, 3, 3, 3), 2, 1, "channels-last"),
+        ((3, 8, 7), (4, 3, 2, 2), 1, 0, "nchw"),
+    ])
+    def test_matches_the_whole_layer_form(self, monkeypatch, rows, shape, w_shape, stride, padding, layout):
+        rng = np.random.default_rng(21)
+        x0, w0, b0 = rng.normal(size=shape), rng.normal(size=w_shape), rng.normal(size=w_shape[0])
+        if layout == "channels-last":
+            x0 = channels_last(x0)
+        cout, cin, kh, kw = w_shape
+        ho = conv_output_extent(shape[-2], kh, stride, padding)
+        wo = conv_output_extent(shape[-1], kw, stride, padding)
+        assert ho % 3 != 0  # the 3-row bands end in a partial one
+        monkeypatch.setattr(ops, "_BAND_BYTES", 8 * wo * (kh * kw * cin + cout) * rows)
+        drawn = []
+        monkeypatch.setattr(ops, "buffer", lambda like: drawn.append(like) or tensor.buffer(like))
+        g = rng.normal(size=shape[:-3] + (cout, ho, wo))
+
+        x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
+        out = conv2d(x, w, b, stride=stride, padding=padding)
+        assert drawn[0] == (rows * wo, kh * kw * cin)
+        (out * Tensor(g)).sum().backward()
+        for got, want in zip((out.data, x.grad, w.grad, b.grad),
+                             oracle_conv2d(x0, w0, b0, g, stride, padding)):
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_a_batch_gives_the_bytes_of_a_loop_over_its_images(self):
+        # conv2 at 256 px: many bands per image at the default budget.
+        rng = np.random.default_rng(22)
+        xs = rng.normal(size=(2, 32, 127, 127))
+        w, b = Tensor(rng.normal(size=(64, 32, 2, 2))), Tensor(rng.normal(size=64))
+        assert 8 * 126 * (4 * 32 + 64) * 126 > 2 * ops._BAND_BYTES
+        batched = conv2d(Tensor(xs), w, b).data
+        for i in range(2):
+            assert np.array_equal(batched[i], conv2d(Tensor(xs[i]), w, b).data)
+
+    def test_draws_only_its_output_and_one_band(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=(1, 32, 127, 127)))
+        w, b = Tensor(rng.normal(size=(64, 32, 2, 2))), Tensor(rng.normal(size=64))
+        calls = []
+        for _ in range(2):
+            drawn = []
+            monkeypatch.setattr(ops, "buffer", lambda like: drawn.append(tensor.buffer(like)) or drawn[-1])
+            with tensor.reuse_buffers():
+                out = conv2d(x, w, b).data
+            assert len(drawn) == 2
+            band, = [a for a in drawn if not np.shares_memory(a, out)]
+            assert band.nbytes <= ops._BAND_BYTES
+            calls.append(drawn)
+        for first, second in zip(*calls):
+            assert np.shares_memory(first, second)
 
 
 def oracle_maxpool2d(xd, g, k, stride):

@@ -14,7 +14,9 @@ run starts from). For every workload and seed, the pair runs
 once in each copy, with N the parent's ``BENCHMARK.json`` ``run_seconds``,
 the parent first in even-indexed pairs and the change first in odd ones.
 
-The output holds every run's JSON result line and, per workload and per
+The output holds every run's JSON result line with the 1-minute load
+average its ``env`` line reported before and after its work (a pair run
+under load can then be told from a slow change), and, per workload and per
 end-to-end metric of the parent's ``BENCHMARK.json``, each side's median
 and quartiles, the pairs the change won (ties count for neither side), the
 change of the median in percent, whether it stays within the metric's bound
@@ -122,6 +124,13 @@ def machine(env: dict) -> dict:
             "numpy": env.get("numpy"), "python": env.get("python")}
 
 
+def run_entry(side: str, workload: str, seed: int, pair: int, result: dict, env: dict) -> dict:
+    """One run as the report keeps it, with the 1-minute load average the
+    run saw before and after its work (None when it printed no ``env`` line)."""
+    return {"side": side, "workload": workload, "seed": seed, "pair": pair, "result": result,
+            **{key: env.get(key) for key in ("loadavg_1m_before", "loadavg_1m_after")}}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_tree")
@@ -139,7 +148,8 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "what": "Alternating parent/change pairs, each tree run from a copy of its committed "
                 "files in a temporary directory; parent first in even-indexed pairs. "
-                "'result' is the last (JSON) line of each run.",
+                "'result' is the last (JSON) line of each run; 'loadavg_1m_before'/'after' "
+                "come from its 'env' line.",
         "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> "
                    f"--seconds {seconds:g} --trace 0",
         "commits": {side: head(tree) for side, tree in trees.items()},
@@ -156,8 +166,7 @@ def main(argv: list[str] | None = None) -> int:
                 for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
                     result, env = run_once(copies[side], workload, seed, seconds)
                     report["machine"] = report["machine"] or machine(env)
-                    report["runs"].append({"side": side, "workload": workload, "seed": seed,
-                                           "pair": pair, "result": result})
+                    report["runs"].append(run_entry(side, workload, seed, pair, result, env))
                     report["summary_untraced"] = summarize(report["runs"], bench["end_to_end"])
                     with open(args.out, "w", encoding="utf-8") as f:
                         json.dump(report, f, indent=1)
