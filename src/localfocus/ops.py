@@ -44,8 +44,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, DomainError, ShapeError, require_int
 from .tensor import _CLAMP, Tensor, buffer
 
-# One conv2d band's bytes: its im2col rows plus their products.
-_BAND_BYTES = 1 << 20
+# One conv2d band's bytes: its im2col rows plus their products. At 2 MiB
+# every 64 px layer is one band per image, and a 256 px image makes half
+# the matmul calls it makes at 1 MiB.
+_BAND_BYTES = 2 << 20
 
 
 def _as_batch(data: np.ndarray, what: str) -> np.ndarray:
