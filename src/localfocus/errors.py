@@ -41,10 +41,11 @@ class StateError(RuntimeError):
     """An operation was called in an order its contract forbids.
 
     ``index`` is the position of the offending item in its list (say, the
-    parameter whose gradient is missing or non-finite).
+    parameter whose gradient is missing or non-finite), or None when the
+    call concerns no list (a second ``Tensor.backward`` through a walked graph).
     """
 
-    def __init__(self, message: str, index: int):
+    def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
 

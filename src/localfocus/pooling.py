@@ -162,7 +162,7 @@ def gap_pool(x: Tensor) -> Tensor:
         raise ShapeError(f"gap_pool input must be NxCxHxW, got rank {x.data.ndim}")
     h, w = x.data.shape[2:]
     return Tensor._wrap(x.data.mean(axis=(2, 3)), (x,),
-                        lambda g: (np.broadcast_to(g[:, :, None, None] / (h * w), x.data.shape),))
+                        lambda g: (np.broadcast_to(g[:, :, None, None] / (h * w), x.data.shape).copy(),))
 
 
 def gmp_pool(x: Tensor) -> Tensor:

@@ -3,6 +3,8 @@
 An op computes its value and hands ``Tensor._wrap`` a vector-Jacobian
 product: ``vjp(g)`` maps the output gradient ``g`` to one gradient per
 parent, in order, and may return ``None`` only for a parent that needs none.
+Every other parent gets a float64 array of its shape (a numpy scalar if
+0-d) that no other parent receives, which ``_accumulate`` adopts or adds in.
 ``_wrap`` alone records the graph edge, and only when some parent requires
 gradients. ``Tensor.backward`` walks it once from a scalar root in reverse
 order of when the nodes were made, releasing each node as it goes; only
@@ -39,7 +41,7 @@ import weakref
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, StateError
 
 _CLAMP = 1e-12
 _stamps = itertools.count()
@@ -121,29 +123,20 @@ class Tensor:
             output = weakref.ref(out)
 
             def backward():
-                g_out = output().grad
-                taken = [g_out]
-                for p, g in zip(parents, vjp(g_out)):
+                for p, g in zip(parents, vjp(output().grad)):
                     if p.requires_grad:
-                        p._accumulate(g, taken)
+                        p._accumulate(np.asarray(g))  # a 0-d product is a numpy scalar
 
             out._backward = backward
         return out
 
-    def _accumulate(self, g: np.ndarray, taken: list[np.ndarray]) -> None:
-        """Add ``g`` into ``.grad``; ``taken`` lists the arrays ``g`` must
-        not alias: the output gradient and those already adopted from the
-        same vjp call."""
-        if self.grad is not None:
-            self.grad += g
-        elif (isinstance(g, np.ndarray) and g.dtype == np.float64 and g.shape == self.data.shape
-              and g.flags.writeable and not any(np.may_share_memory(g, t) for t in taken)):
-            # Adopted: an array the op made for this parent alone.
+    def _accumulate(self, g: np.ndarray) -> None:
+        """Adopt ``g`` as ``.grad``, or add it in; ``g`` is this tensor's
+        own, by the vjp contract the module docstring states."""
+        if self.grad is None:
             self.grad = g
-            taken.append(g)
         else:
-            # A copy: a broadcast, read-only or shared array (add's (g, g)).
-            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=np.float64)
+            self.grad += g
 
     # -- basic protocol ---------------------------------------------------
 
@@ -175,12 +168,15 @@ class Tensor:
         walks is freed by reference counting once its root is dropped;
         releasing during the walk also frees what a closure alone kept
         for its backward (a pooling's gather indices, a padded conv's
-        padded input) before the walk reaches its inputs.
+        padded input) before the walk reaches its inputs. A node the walk
+        released refuses a second call with a ``StateError``.
         """
         if not self.requires_grad:
             return
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a single-element tensor, got shape {self.shape}")
+        if self._backward is None and hasattr(self, "_stamp"):
+            raise StateError("backward() from a node that an earlier backward() already released")
 
         recorded, stack = {}, [self]
         while stack:
@@ -189,7 +185,7 @@ class Tensor:
                 recorded[node._stamp] = node
                 stack.extend(node._parents)
 
-        self._accumulate(np.ones_like(self.data), [])
+        self._accumulate(np.ones_like(self.data))
         for _, node in sorted(recorded.items(), reverse=True):
             node._backward()
             node.grad = node._backward = None
@@ -202,7 +198,7 @@ class Tensor:
             return NotImplemented
         if other.shape != self.shape:
             raise ShapeError(f"add needs matching shapes, got {self.shape} and {other.shape}")
-        return Tensor._wrap(self.data + other.data, (self, other), lambda g: (g, g))
+        return Tensor._wrap(self.data + other.data, (self, other), lambda g: (g, g.copy()))
 
     def __mul__(self, other) -> "Tensor":
         if isinstance(other, Tensor):

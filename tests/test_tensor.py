@@ -8,7 +8,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from localfocus import ShapeError, Tensor, gap_pool
+from localfocus import (NprConfig, ShapeError, StateError, Tensor, TkpConfig, bce_loss_mean, conv2d,
+                        gap_pool, gmp_pool, linear, maxpool2d, npr_extract, tkp_pool)
 from localfocus.gradcheck import check_gradient
 from localfocus.tensor import buffer, reuse_buffers
 
@@ -94,8 +95,8 @@ class TestArithmetic:
         np.testing.assert_allclose(a.grad, [9.0])
 
     def test_first_gradient_is_a_private_copy(self):
-        # add hands the same upstream array to both inputs: neither
-        # gradient may alias the other, nor the caller's array.
+        # add hands one input the upstream array and the other a copy:
+        # neither gradient may alias the other, nor the caller's array.
         a = Tensor(np.ones(3), requires_grad=True)
         b = Tensor(np.ones(3), requires_grad=True)
         up = np.array([1.0, 2.0, 3.0])
@@ -110,35 +111,27 @@ class TestArithmetic:
         Tensor._wrap(a.data.copy(), (a,), lambda g: (fresh,)).sum().backward()
         assert a.grad is fresh
 
-    @pytest.mark.parametrize("case", ["upstream", "shared", "read-only", "broadcast", "float32"])
-    def test_unadoptable_first_gradient_is_copied(self, case):
-        # Only a writeable float64 array of the parent's shape that aliases
-        # neither the output gradient nor one already adopted is kept as is.
-        a = Tensor(np.ones(3), requires_grad=True)
-        b = Tensor(np.ones(3), requires_grad=True)
-        fresh = np.array([1.0, 2.0, 3.0])
-        frozen = fresh.copy()
-        frozen.flags.writeable = False
-        vjps = {"upstream": lambda g: (g[::-1], g), "shared": lambda g: (fresh[::-1], fresh),
-                "read-only": lambda g: (g[::-1] * 1.0, frozen),
-                "broadcast": lambda g: (g[::-1] * 1.0, np.broadcast_to(g[:1], (3,))),
-                "float32": lambda g: (g[::-1] * 1.0, g.astype(np.float32))}
-        out = Tensor._wrap(a.data + b.data, (a, b), vjps[case])
-        (out * Tensor(np.array([1.0, 2.0, 3.0]))).sum().backward()
-        assert b.grad.dtype == np.float64 and b.grad.flags.writeable
-        assert not np.shares_memory(a.grad, b.grad)
-        np.testing.assert_array_equal(a.grad, [3.0, 2.0, 1.0])
-        b.grad += 1.0
-        np.testing.assert_array_equal(a.grad, [3.0, 2.0, 1.0])
-        np.testing.assert_array_equal(b.grad, [2.0, 2.0, 2.0] if case == "broadcast" else [2.0, 3.0, 4.0])
-
     def test_gap_pool_gradient_is_a_writeable_copy(self):
-        # gap_pool hands back a read-only broadcast of one value per map.
+        # One value per map, written out: no read-only broadcast view.
         x = Tensor(np.zeros((2, 3, 4, 4)), requires_grad=True)
         gap_pool(x).sum().backward()
         assert x.grad.flags.writeable and 0 not in x.grad.strides
         x.grad[0, 0, 0, 0] += 1.0
         assert x.grad[0, 0, 0, 1] == 1.0 / 16
+
+    @pytest.mark.parametrize("start", ["root", "interior"])
+    def test_second_backward_is_refused(self, start):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        y = (a * a).sum()
+        z = y * 3.0
+        (y if start == "root" else z).backward()
+        np.testing.assert_array_equal(a.grad, [2.0, 4.0] if start == "root" else [6.0, 12.0])
+        before = a.grad.copy()
+        with pytest.raises(StateError, match="already released") as err:
+            y.backward()
+        assert err.value.index is None
+        np.testing.assert_array_equal(a.grad, before)
+        assert y.grad is None
 
     @pytest.mark.parametrize("op", [lambda a, b: a + b, lambda a, b: a * b,
                                     lambda a, b: b + a, lambda a, b: b * a],
@@ -223,6 +216,78 @@ class TestArithmetic:
         out = a.relu()
         assert out._backward is None and out._parents == ()
         assert not out.requires_grad
+
+
+RNG = np.random.default_rng(5)
+
+
+def leaf(*shape):
+    return Tensor(RNG.standard_normal(shape), requires_grad=True)
+
+
+def conv(x, cout=4, k=3, **kw):
+    return conv2d(x, leaf(cout, x.shape[-3], k, k), leaf(cout), **kw)
+
+
+OPS = {
+    "add": lambda: leaf(2, 3) + leaf(2, 3),
+    "add-self": lambda: (lambda x: x + x)(leaf(2, 3)),
+    "mul": lambda: leaf(2, 3) * leaf(2, 3),
+    "mul-self": lambda: (lambda x: x * x)(leaf(2, 3)),
+    "mul-scalar": lambda: leaf(2, 3) * 2.5,
+    "mul-0d": lambda: leaf() * leaf(),
+    "mul-scalar-0d": lambda: leaf() * 2.5,
+    "sub": lambda: leaf(2, 3) - leaf(2, 3),
+    "sum": lambda: leaf(2, 3).sum(),
+    "sum-0d": lambda: leaf().sum(),
+    "sigmoid": lambda: leaf(2, 3).sigmoid(),
+    "sigmoid-0d": lambda: leaf().sigmoid(),
+    "abs": lambda: leaf(2, 3).abs(),
+    "abs-0d": lambda: leaf().abs(),
+    "relu": lambda: leaf(2, 3).relu(),
+    "relu-0d": lambda: leaf().relu(),
+    "npr-abs": lambda: npr_extract(leaf(2, 3, 4, 4), NprConfig(take_abs=True)),
+    "npr-signed": lambda: npr_extract(leaf(2, 3, 4, 4), NprConfig(take_abs=False)),
+    "conv-3d": lambda: conv(leaf(3, 6, 6)),
+    "conv-4d": lambda: conv(leaf(2, 3, 6, 6)),
+    "conv-channels-last": lambda: conv(Tensor(RNG.standard_normal((2, 6, 6, 3)).transpose(0, 3, 1, 2),
+                                              requires_grad=True)),
+    "conv-stride2-pad1": lambda: conv(leaf(2, 3, 7, 7), stride=2, padding=1),
+    "maxpool": lambda: maxpool2d(leaf(2, 3, 4, 4)),
+    "linear": lambda: linear(leaf(4, 6), leaf(1, 6), leaf(1)),
+    "bce": lambda: bce_loss_mean(Tensor(np.linspace(0.1, 0.9, 5), requires_grad=True), [0, 1, 1, 0, 1]),
+    "tkp-rbld-rks": lambda: tkp_pool(leaf(2, 3, 4, 4), TkpConfig(k=3), np.random.default_rng(7)),
+    "gap": lambda: gap_pool(leaf(2, 3, 4, 4)),
+    "gmp": lambda: gmp_pool(leaf(2, 3, 4, 4)),
+}
+
+
+class TestGradientOwnership:
+    """Each vjp gives every input that needs a gradient an array of its own:
+    the rule in ``tensor``'s module docstring that lets ``_accumulate``
+    adopt a first gradient as is."""
+
+    @pytest.mark.parametrize("op", OPS.values(), ids=OPS.keys())
+    def test_every_vjp_hands_out_arrays_it_owns(self, op, monkeypatch):
+        calls, wrap = [], Tensor._wrap
+
+        def capture(data, parents, vjp):
+            out = wrap(data, parents, vjp)
+            calls.append((out, parents, vjp))
+            return out
+
+        monkeypatch.setattr(Tensor, "_wrap", staticmethod(capture))
+        op()
+        assert calls
+        for out, parents, vjp in calls:
+            g = np.random.default_rng(8).standard_normal(out.shape)
+            grads = [(p, np.asarray(d)) for p, d in zip(parents, vjp(g)) if p.requires_grad]
+            assert grads and sum(d is g for _, d in grads) <= 1
+            for i, (p, d) in enumerate(grads):
+                assert isinstance(d, np.ndarray) and d.dtype == np.float64 and d.shape == p.shape
+                assert d.flags.writeable
+                others = [e for j, (_, e) in enumerate(grads) if j != i] + [q.data for q in parents]
+                assert not any(np.shares_memory(d, o) for o in others + [out.data])
 
 
 class TestNonlinearities:

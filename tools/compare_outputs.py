@@ -12,7 +12,8 @@ with relative paths:
     train --config <run>/config_used.cfg, for each of the three runs
 
 Then every file either side wrote gets one line: ``identical``, or the
-largest difference. A checkpoint (read by its own tree's loader) gives
+largest difference, and a last line counts them (``148 of 148 outputs
+identical``). A checkpoint (read by its own tree's loader) gives
 max |d| per parameter array, an eval report d(acc) and d(ap), and any other
 text file (stdout, loss curves, infer lines) max |d| over its numbers.
 
@@ -168,7 +169,8 @@ def compare(old_tree: str, new_tree: str, old_work: str, new_work: str) -> int:
         olds = load_arrays(old_tree, [os.path.join(old_work, p) for p in checkpoints])
         news = load_arrays(new_tree, [os.path.join(new_work, p) for p in checkpoints])
         arrays = dict(zip(checkpoints, zip(olds, news)))
-    for rel in sorted(old_files | new_files):
+    outputs, identical = sorted(old_files | new_files), 0
+    for rel in outputs:
         if rel not in old_files or rel not in new_files:
             print(f"{rel}: only in the {'new' if rel in new_files else 'old'} tree's outputs")
             ok = False
@@ -177,6 +179,7 @@ def compare(old_tree: str, new_tree: str, old_work: str, new_work: str) -> int:
             a, b = fa.read(), fb.read()
         if a == b:
             print(f"{rel}: identical")
+            identical += 1
             continue
         if rel.endswith(".lfm"):
             verdict, same = compare_checkpoints(*arrays[rel])
@@ -188,6 +191,7 @@ def compare(old_tree: str, new_tree: str, old_work: str, new_work: str) -> int:
             verdict, same = compare_text(a.decode(), b.decode())
         print(f"{rel}: {verdict}")
         ok = ok and same
+    print(f"{identical} of {len(outputs)} outputs identical")
     return 0 if ok else 1
 
 
