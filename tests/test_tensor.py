@@ -218,11 +218,8 @@ class TestArithmetic:
         assert not out.requires_grad
 
 
-RNG = np.random.default_rng(5)
-
-
 def leaf(*shape):
-    return Tensor(RNG.standard_normal(shape), requires_grad=True)
+    return Tensor(np.random.default_rng(5).standard_normal(shape), requires_grad=True)
 
 
 def conv(x, cout=4, k=3, **kw):
@@ -250,8 +247,7 @@ OPS = {
     "npr-signed": lambda: npr_extract(leaf(2, 3, 4, 4), NprConfig(take_abs=False)),
     "conv-3d": lambda: conv(leaf(3, 6, 6)),
     "conv-4d": lambda: conv(leaf(2, 3, 6, 6)),
-    "conv-channels-last": lambda: conv(Tensor(RNG.standard_normal((2, 6, 6, 3)).transpose(0, 3, 1, 2),
-                                              requires_grad=True)),
+    "conv-channels-last": lambda: conv(Tensor(leaf(2, 6, 6, 3).data.transpose(0, 3, 1, 2), requires_grad=True)),
     "conv-stride2-pad1": lambda: conv(leaf(2, 3, 7, 7), stride=2, padding=1),
     "maxpool": lambda: maxpool2d(leaf(2, 3, 4, 4)),
     "linear": lambda: linear(leaf(4, 6), leaf(1, 6), leaf(1)),
