@@ -143,38 +143,40 @@ class LfmModel:
 
     # -- forward paths ----------------------------------------------------------
 
-    def _forward(self, batch: np.ndarray, rng: np.random.Generator | None
-                 ) -> tuple[Tensor, Tensor | None]:
-        """npr -> snet -> pool -> head over an (N, 3, H, W) batch: the (N, 1)
-        top-k probabilities and, when random-k sampling ran, the random-sample
-        probabilities (else None)."""
-        _check_input_size(self.snet_cfg, self.pooling, self.tkp_cfg.k, *batch.shape[-2:])
-        maps = self.snet.forward(npr_extract(Tensor(batch), self.npr_cfg))
-        if self.pooling == "tkp":
-            vec, star, _ = tkp_pool(maps, self.tkp_cfg, rng)
-        else:
-            vec, star = (gap_pool(maps) if self.pooling == "gap" else gmp_pool(maps)), None
-        probs = linear(vec, self.fc_weight, self.fc_bias).sigmoid()
-        return probs, None if star is None else linear(star, self.fc_weight, self.fc_bias).sigmoid()
+    def _forward(self, images, rng: np.random.Generator | None) -> tuple[Tensor, Tensor | None]:
+        """npr -> snet -> pool -> head over (3, H, W) images: the (N, 1) top-k
+        probabilities and, when random-k sampling ran, the random-sample ones
+        (else None). Drawn inside ``reuse_buffers``, so the recorded graph must
+        be walked before this thread's next forward."""
+        with reuse_buffers():
+            batch = _batch(images)
+            _check_input_size(self.snet_cfg, self.pooling, self.tkp_cfg.k, *batch.shape[-2:])
+            maps = self.snet.forward(npr_extract(Tensor(batch), self.npr_cfg))
+            if self.pooling == "tkp":
+                vec, star, _ = tkp_pool(maps, self.tkp_cfg, rng)
+            else:
+                vec, star = (gap_pool(maps) if self.pooling == "gap" else gmp_pool(maps)), None
+            probs = linear(vec, self.fc_weight, self.fc_bias).sigmoid()
+            return probs, None if star is None else linear(star, self.fc_weight, self.fc_bias).sigmoid()
 
     def forward_train(self, images, labels, rng: np.random.Generator
                       ) -> tuple[list[float], list[float] | None, LossReport]:
         """One training forward+backward pass over a batch.
 
-        ``images`` is a sequence of (3, H, W) arrays, ``labels`` matching
-        0/1 ints. Gradients are zeroed, then populated on every
-        parameter as a side effect; the caller applies the optimizer
-        step. Returns per-sample top-k scores, per-sample random-sample
-        scores (None unless the variant emits them), and the loss report.
+        ``images`` is a sequence of (3, H, W) arrays, ``labels`` matching 0/1
+        ints. Gradients are zeroed after the forward (a refused batch leaves
+        them as they were) and populated on every parameter; the caller
+        applies the optimizer step. The forward's arrays stay with the thread
+        until its next forward. Returns per-sample top-k scores, per-sample
+        random-sample scores (None unless the variant emits them), the report.
         """
-        batch = _batch(images)
         labels = np.asarray(labels)
-        if labels.shape != (len(batch),):
-            raise ShapeError(f"got {len(batch)} images but labels shaped {labels.shape}")
+        if labels.shape != (len(images),):
+            raise ShapeError(f"got {len(images)} images but labels shaped {labels.shape}")
         _check_labels(labels)
 
+        probs, star_probs = self._forward(images, rng)
         self.zero_grad()
-        probs, star_probs = self._forward(batch, rng)
         loss_a = bce_loss_mean(probs, labels)
         if star_probs is None:
             total, loss_b_val = loss_a, 0.0
@@ -193,13 +195,11 @@ class LfmModel:
     def score(self, image: np.ndarray) -> float:
         """Deterministic fake-probability for one (3, H, W) image.
 
-        The forward's arrays are reused across this thread's calls (the rule
-        ``tensor``'s docstring states), so only a scalar copy may leave. The
-        recorded graph is freed on return.
+        Only a scalar copy leaves: the forward's arrays stay with the thread
+        until its next forward. The recorded graph is freed on return.
         """
-        with reuse_buffers():
-            probs, _ = self._forward(_batch([image]), None)
-            return probs.data.reshape(-1)[0]
+        probs, _ = self._forward([image], None)
+        return probs.data.reshape(-1)[0]
 
     def infer(self, image: np.ndarray) -> tuple[float, int]:
         """(probability, hard label) with label = probability >= threshold."""

@@ -18,12 +18,13 @@ The forward ops draw their large arrays from ``buffer``, given a shape
 (C order) or the array the result mirrors (numpy's order "K", so a
 channels-last view gets a channels-last array). A draw is fresh
 (``np.empty`` or ``np.empty_like``), except inside ``reuse_buffers()``
-(entered by ``LfmModel.score`` alone), where the i-th draw of a block gets
-the array the thread's last block drew i-th if that draw asked for the
-same shape, or mirrored an array of the same shape and strides (``score``
-draws in one order, so a call on the last call's image shape gets every
-array back), else a fresh one. The arrays a block drew replace the kept
-ones when it exits, so nothing drawn inside may outlive the block.
+(entered by ``LfmModel._forward`` alone), where the i-th draw of a block
+gets the array the thread's last block drew i-th if that draw asked for the
+same shape, or mirrored an array of the same shape and strides (a forward
+on the last forward's batch shape gets every array back). The first draw
+that differs frees the rest of the kept arrays before drawing afresh. The
+arrays a block drew are kept when it exits, so nothing drawn inside may be
+read once the thread's next block begins; gradients are never drawn.
 
 Shape rules are strict: ``+`` and ``-`` take two tensors of identical
 shape, ``*`` also a Python scalar; there is no implicit broadcasting.
@@ -79,7 +80,9 @@ def buffer(like: tuple[int, ...] | np.ndarray) -> np.ndarray:
     if drawn is None:
         return fresh(like)
     last, i = _buffers.last, len(drawn)
-    a = last[i][1] if i < len(last) and last[i][0] == request else fresh(like)
+    if i < len(last) and last[i][0] != request:
+        last.clear()  # the first differing draw: free the rest now, not at block exit
+    a = last[i][1] if i < len(last) else fresh(like)
     drawn.append((request, a))
     return a
 
@@ -168,20 +171,19 @@ class Tensor:
         walks is freed by reference counting once its root is dropped;
         releasing during the walk also frees what a closure alone kept
         for its backward (a pooling's gather indices, a padded conv's
-        padded input) before the walk reaches its inputs. A node the walk
-        released refuses a second call with a ``StateError``.
+        padded input) before the walk reaches its inputs. A later walk that
+        reaches a released node raises ``StateError`` before any gradient moves.
         """
         if not self.requires_grad:
             return
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a single-element tensor, got shape {self.shape}")
-        if self._backward is None and hasattr(self, "_stamp"):
-            raise StateError("backward() from a node that an earlier backward() already released")
-
         recorded, stack = {}, [self]
         while stack:
             node = stack.pop()
-            if node._backward is not None and node._stamp not in recorded:
+            if hasattr(node, "_stamp") and node._stamp not in recorded:
+                if node._backward is None:
+                    raise StateError("backward() reached a node that an earlier backward() already released")
                 recorded[node._stamp] = node
                 stack.extend(node._parents)
 

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from localfocus import (ConfigError, DomainError, LfmModel, ShapeError,
+from localfocus import (Adam, ConfigError, DomainError, LfmModel, ShapeError,
                         SNetConfig, Tensor, TkpConfig, bce_loss_mean)
 from localfocus.gradcheck import check_gradient, relative_error
-from localfocus.model import _batch, _check_input_size, total_param_count
+from localfocus.model import _check_input_size, total_param_count
 from localfocus.npr import npr_extract
 
 TINY_SNET = SNetConfig(num_conv_layers=4, channel_plan=(8, 16, 32, 64))
@@ -148,7 +148,7 @@ class TestForwardTrain:
         for term in (lambda probs, star: bce_loss_mean(probs, labels),
                      lambda probs, star: model.alpha * bce_loss_mean(star, labels)):
             model.zero_grad()
-            term(*model._forward(_batch(images), np.random.default_rng(3))).backward()
+            term(*model._forward(images, np.random.default_rng(3))).backward()
             parts.append(model.fc_weight.grad.copy())
         model.forward_train(images, labels, np.random.default_rng(3))
         assert not np.array_equal(parts[0], parts[1])
@@ -166,6 +166,56 @@ class TestForwardTrain:
         model.forward_train(*tiny_batch(), np.random.default_rng(2))
         assert len(seen) == 1 and not seen[0].requires_grad and seen[0].grad is None
         assert all(p.grad is not None for p in model.parameters())
+
+    def test_two_steps_of_one_shape_draw_the_same_arrays(self, monkeypatch):
+        seen = []
+
+        def recording_npr(image, cfg):
+            out = npr_extract(image, cfg)
+            seen.append((image.data, out.data))
+            return out
+
+        model = tiny_model()
+        monkeypatch.setattr("localfocus.model.npr_extract", recording_npr)
+        images, labels = tiny_batch()
+        for seed in (2, 3):
+            model.forward_train(images, labels, np.random.default_rng(seed))
+        (batch, residual), (batch_again, residual_again) = seen
+        assert batch_again is batch and residual_again is residual
+
+    def test_scoring_between_steps_leaves_training_unchanged(self):
+        # At batch size 1, score draws the shapes forward_train drew, so the
+        # kept arrays pass between the two paths; scoring before Adam.step
+        # also shows that no gradient is a kept array.
+        images, labels = tiny_batch(n=4)
+        params = []
+        for interleave in (False, True):
+            model = tiny_model()
+            opt = Adam(model.parameters(), 1e-2)
+            rng = np.random.default_rng(6)
+            for i, (image, label) in enumerate(zip(images, labels)):
+                model.forward_train([image], [label], rng)
+                if interleave:
+                    model.score(images[(i + 1) % len(images)])
+                opt.step()
+            params.append(b"".join(p.data.tobytes() for p in model.parameters()))
+        assert params[0] == params[1]
+
+    @pytest.mark.parametrize("refusal", ["nan-pixel", "mixed-sizes", "too-small"])
+    def test_a_refused_batch_leaves_every_gradient(self, refusal):
+        model = tiny_model()
+        images, labels = tiny_batch()
+        model.forward_train(images, labels, np.random.default_rng(2))
+        before = [p.grad.tobytes() for p in model.parameters()]
+        if refusal == "nan-pixel":
+            images[1][0, 2, 3] = np.nan
+        elif refusal == "mixed-sizes":
+            images[1] = np.zeros((3, 34, 34))
+        else:
+            images = [np.zeros((3, 16, 16))] * len(labels)
+        with pytest.raises((DomainError, ShapeError)):
+            model.forward_train(images, labels, np.random.default_rng(2))
+        assert [p.grad.tobytes() for p in model.parameters()] == before
 
     def test_each_call_starts_from_zero_gradients(self):
         # Zeroing is forward_train's job (the optimizer has none): a second

@@ -133,6 +133,16 @@ class TestArithmetic:
         np.testing.assert_array_equal(a.grad, before)
         assert y.grad is None
 
+    def test_a_walk_that_reaches_a_released_node_is_refused(self):
+        # A second root sharing t with a walked graph would lose t's share:
+        # [6, 12] is due, and a silent walk left [2, 4].
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        t = a * a
+        t.sum().backward()
+        with pytest.raises(StateError, match="already released"):
+            (t * 2.0).sum().backward()
+        np.testing.assert_array_equal(a.grad, [2.0, 4.0])
+
     @pytest.mark.parametrize("op", [lambda a, b: a + b, lambda a, b: a * b,
                                     lambda a, b: b + a, lambda a, b: b * a],
                              ids=["add", "mul", "add-reversed", "mul-reversed"])
@@ -380,6 +390,16 @@ class TestBufferReuse:
         assert again is a
         assert c.shape == (2, 3) and not np.may_share_memory(c, a)
         assert b_ref() is None
+
+    def test_the_first_differing_draw_frees_the_rest_at_once(self):
+        with reuse_buffers():
+            a = buffer((4, 5))
+            rest = [weakref.ref(buffer((3, 2))), weakref.ref(buffer((3, 2)))]
+        with reuse_buffers():
+            assert buffer((4, 5)) is a
+            assert all(r() is not None for r in rest)
+            buffer((2, 3))
+            assert all(r() is None for r in rest)
 
     def test_a_draw_of_another_layout_is_fresh(self):
         c_order = np.empty((2, 3, 5, 4))
