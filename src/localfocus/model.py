@@ -146,8 +146,8 @@ class LfmModel:
     def _forward(self, images, rng: np.random.Generator | None) -> tuple[Tensor, Tensor | None]:
         """npr -> snet -> pool -> head over (3, H, W) images: the (N, 1) top-k
         probabilities and, when random-k sampling ran, the random-sample ones
-        (else None). Drawn inside ``reuse_buffers``, so the recorded graph must
-        be walked before this thread's next forward."""
+        (else None). Its arrays come from ``reuse_buffers``, so the recorded
+        graph must be walked before this thread's next forward."""
         with reuse_buffers():
             batch = _batch(images)
             _check_input_size(self.snet_cfg, self.pooling, self.tkp_cfg.k, *batch.shape[-2:])

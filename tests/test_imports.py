@@ -124,8 +124,8 @@ def test_only_the_model_forward_reuses_buffers():
     # next block, so whoever enters it must be done with them by then. Only
     # LfmModel._forward enters it, for score and forward_train alike: a
     # training step walks its graph before it returns. Kept between steps, a
-    # batch-32 64 px step's 20 arrays (84.1 MiB) took its minor page faults
-    # from about 10.5k to 0-1 and its in-process peak RSS from 205 to 197 MiB.
+    # batch-32 64 px step's 20 arrays (84.1 MiB) took its median minor page
+    # faults from about 10.5k to 1 and its in-process peak RSS from 205 to 197 MiB.
     src = ("import t\nwith t.reuse_buffers():\n    pass\nclass M:\n    def f(self):\n"
            "        def g():\n            with reuse_buffers():\n                pass\n")
     assert reuse_buffers_readers(src) == ["<module>", "M.f.g"]
