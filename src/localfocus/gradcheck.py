@@ -7,9 +7,9 @@ Central differences with step h on a scalar-valued function:
 Comparisons use the relative error |a - n| / max(|a|, |n|, 1), which
 behaves sensibly when both gradients are tiny. The caller keeps out
 coordinates within h of a non-smooth point (kinks of abs/relu, pooling
-or top-k selection boundaries), with ``numeric_gradient``'s ``mask`` or
-by picking inputs away from every kink and tie; central differences
-straddle the kink there and measure the wrong one-sided slope.
+or top-k selection boundaries), by picking inputs away from every kink
+and tie or checking a function of the other coordinates alone; central
+differences straddle a kink and measure the wrong one-sided slope.
 """
 
 from __future__ import annotations
@@ -22,21 +22,13 @@ DEFAULT_STEP = 1e-3
 
 
 def numeric_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
-                     h: float = DEFAULT_STEP,
-                     mask: np.ndarray | None = None) -> np.ndarray:
-    """Central-difference gradient of scalar ``f`` at ``x``.
-
-    ``mask`` (same shape as ``x``) marks coordinates to evaluate; masked-out
-    entries come back as 0.
-    """
+                     h: float = DEFAULT_STEP) -> np.ndarray:
+    """Central-difference gradient of scalar ``f`` at ``x``."""
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
     flat = x.reshape(-1)
     gflat = grad.reshape(-1)
-    mflat = None if mask is None else np.asarray(mask).reshape(-1)
     for i in range(flat.size):
-        if mflat is not None and not mflat[i]:
-            continue
         orig = flat[i]
         flat[i] = orig + h
         fp = f(x)

@@ -12,6 +12,7 @@ three numbers and the decomposition is exact by construction.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,11 +77,8 @@ def _check_input_size(snet_cfg: SNetConfig, pooling: str, k: int, h: int, w: int
     It needs only the settings, so a caller can ask before building the head."""
 
     def fits(h: int, w: int) -> bool:
-        try:
-            c, ho, wo = output_shape(snet_cfg, h, w)
-        except ShapeError:
-            return False
-        return c * ho * wo >= head_width(pooling, k)
+        shape = output_shape(snet_cfg, h, w)
+        return shape is not None and math.prod(shape) >= head_width(pooling, k)
 
     _check_grid(h, w)
     if not fits(h, w):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, require_int
-from .ops import _as_batch, conv2d, maxpool2d
+from .ops import conv2d, maxpool2d
 from .tensor import Tensor
 
 IN_CHANNELS = 3
@@ -91,20 +91,15 @@ def snet_param_count(cfg: SNetConfig) -> int:
     return sum(cout * cin * kh * kw + cout for cout, cin, kh, kw in cfg.layer_shapes())
 
 
-def output_shape(cfg: SNetConfig, h: int, w: int) -> tuple[int, int, int]:
-    """(channels, H', W') the network produces for an h x w input.
-
-    Raises ShapeError naming the first stage whose input is too small.
-    """
+def output_shape(cfg: SNetConfig, h: int, w: int) -> tuple[int, int, int] | None:
+    """(channels, H', W') the network produces for an h x w input, or None
+    when a conv or pool gets an input smaller than its window."""
     for i, k in enumerate(cfg.kernel_sizes(), start=1):
-        if h < k or w < k:
-            raise ShapeError(f"conv layer {i} needs input >= {k}x{k}, got {h}x{w}")
         h, w = h - k + 1, w - k + 1
         if i in cfg.pool_after:
-            if h < 2 or w < 2:
-                raise ShapeError(f"pool after conv layer {i} needs input >= 2x2, got {h}x{w}")
             h, w = h // 2, w // 2
-    return OUT_CHANNELS, h, w
+    # A side below 1 stays below 1 through every later stage, so one test covers them all.
+    return (OUT_CHANNELS, h, w) if min(h, w) >= 1 else None
 
 
 class SNet:
@@ -122,17 +117,15 @@ class SNet:
         return [p for layer in self.layers for p in layer]
 
     def forward(self, x: Tensor) -> Tensor:
-        """Run the stack on residual features (CxHxW or NxCxHxW)."""
-        _as_batch(x.data, "snet input")
-        if x.data.shape[-3] != IN_CHANNELS:
-            raise ShapeError(f"snet expects {IN_CHANNELS} input channels, got {x.data.shape[-3]}")
-        # Chase shapes up front so a too-small input names the failing stage
-        # instead of dying mid-stack.
-        output_shape(self.cfg, x.data.shape[-2], x.data.shape[-1])
+        """Run the stack on residual features (CxHxW or NxCxHxW). Each conv
+        and pool checks its own input; a refusal names the conv layer."""
         for i, (w, b) in enumerate(self.layers, start=1):
-            x = conv2d(x, w, b)
-            if i in self.cfg.pool_after:
-                x = maxpool2d(x, k=2, stride=2)
+            try:
+                x = conv2d(x, w, b)
+                if i in self.cfg.pool_after:
+                    x = maxpool2d(x, k=2, stride=2)
+            except ShapeError as e:
+                raise ShapeError(f"conv layer {i}: {e}") from e
             if i < len(self.layers):
                 x = x.relu()
         return x

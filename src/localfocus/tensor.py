@@ -172,10 +172,11 @@ class Tensor:
         releasing during the walk also frees what a closure alone kept
         for its backward (a pooling's gather indices, a padded conv's
         padded input) before the walk reaches its inputs. A later walk that
-        reaches a released node raises ``StateError`` before any gradient moves.
+        reaches a released node raises ``StateError`` before any gradient
+        moves, as does a root that requires no gradient (no leaf would get one).
         """
         if not self.requires_grad:
-            return
+            raise StateError("backward() needs a root that requires a gradient")
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a single-element tensor, got shape {self.shape}")
         recorded, stack = {}, [self]

@@ -14,7 +14,7 @@ import pytest
 
 from localfocus import (DatasetManifest, NprConfig, ParseError, SNetConfig, TkpConfig,
                         TrainConfig, load_checkpoint, read_manifest, save_ppm, write_manifest)
-from localfocus.cli import _TRAIN_FIELDS, main, read_config_file
+from localfocus.cli import _TRAIN_FIELDS, _bool, main, read_config_file
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 TINY_MODEL_FLAGS = ["--channel-plan", "8,16,64",
@@ -115,6 +115,21 @@ class TestEndToEnd:
         out = capsys.readouterr().out
         assert "epoch 0: loss" in out and "epoch 1:" not in out
         assert read_config_file(os.path.join(run_c, "config_used.cfg"))["epochs"][0] == "1"
+
+    def test_gap_run_retrains_from_its_config(self, workspace):
+        # A gap run writes rbld = false and rks = false; reading them back
+        # must give the same run.
+        runs = [str(workspace["root"] / name) for name in ("run_gap", "rerun_gap")]
+        rc = main(["train", "--manifest", workspace["train_manifest"], "--out", runs[0],
+                   "--pooling", "gap", "--epochs", "1", "--batch-size", "4", "--seed", "3"]
+                  + TINY_MODEL_FLAGS)
+        assert rc == 0
+        cfg = read_config_file(os.path.join(runs[0], "config_used.cfg"))
+        assert cfg["rbld"][0] == cfg["rks"][0] == "false"
+        rc = main(["train", "--config", os.path.join(runs[0], "config_used.cfg"), "--out", runs[1]])
+        assert rc == 0
+        blob_a, blob_b = (open(os.path.join(run, "checkpoint_last.lfm"), "rb").read() for run in runs)
+        assert blob_a == blob_b
 
 
 class TestExitCodes:
@@ -302,6 +317,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert message in err and err.endswith("(at byte 25)\n")
 
+    def test_unparsable_bool_config_value(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("seed = 3\nrbld = maybe\n")
+        rc = main(["train", "--config", str(cfg), "--manifest", "m", "--out", "o"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "localfocus: error: config key 'rbld': cannot parse 'maybe' as bool (at byte 9)\n"
+
     def test_missing_config_file_is_exit_2(self, tmp_path, capsys):
         rc = main(["train", "--config", str(tmp_path / "nope.cfg"), "--manifest", "m", "--out", "o"])
         assert rc == 2
@@ -335,6 +358,10 @@ class TestExitCodes:
 
 
 class TestConfigFields:
+    @pytest.mark.parametrize("raw", ["false", "0", "no", "off", " OFF "])
+    def test_bool_false_spellings(self, raw):
+        assert _bool(raw) is False
+
     def test_every_train_option_feeds_one_config(self):
         # The CLI builds each config from the options named like its
         # fields, so an option no config names would be dropped silently.

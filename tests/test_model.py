@@ -311,15 +311,16 @@ class TestFullChainGradient:
         # so detect kink-straddling coordinates by step halving (smooth
         # coordinates agree at h and h/2, kinked ones jump) and skip them.
         from localfocus.gradcheck import numeric_gradient
-        mask = np.zeros(last_w.data.size, dtype=bool)
-        mask[:200] = True
         x0 = last_w.data.copy().ravel()
-        num_h = numeric_gradient(f_conv, x0, h=1e-3, mask=mask)
-        num_h2 = numeric_gradient(f_conv, x0, h=5e-4, mask=mask)
-        smooth = np.abs(num_h - num_h2) <= 1e-5 * np.maximum(1.0, np.abs(num_h))
-        keep = mask & smooth
-        assert keep.sum() >= 0.9 * mask.sum()  # kinks must be rare
-        assert relative_error(conv_grad.ravel()[keep], num_h[keep]) < 1e-4
+
+        def f_head(a):  # the first 200 weights, the rest held at x0
+            return f_conv(np.concatenate([a, x0[200:]]))
+
+        num_h = numeric_gradient(f_head, x0[:200], h=1e-3)
+        num_h2 = numeric_gradient(f_head, x0[:200], h=5e-4)
+        keep = np.abs(num_h - num_h2) <= 1e-5 * np.maximum(1.0, np.abs(num_h))
+        assert keep.sum() >= 0.9 * keep.size  # kinks must be rare
+        assert relative_error(conv_grad.ravel()[:200][keep], num_h[keep]) < 1e-4
 
 
 class TestInference:

@@ -1,5 +1,7 @@
 """Salience network: config law, shape chase, parameter math, determinism."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -105,8 +107,7 @@ class TestShapes:
 
     def test_too_small_input_names_stage(self):
         cfg = SNetConfig()
-        with pytest.raises(ShapeError, match="conv layer 4"):
-            output_shape(cfg, 16, 16)
+        assert output_shape(cfg, 16, 16) is None
         net = SNet(cfg, np.random.default_rng(0))
         with pytest.raises(ShapeError, match="conv layer 4"):
             net.forward(Tensor(np.zeros((3, 16, 16))))
@@ -120,6 +121,34 @@ class TestShapes:
         net = SNet(SNetConfig(), np.random.default_rng(0))
         with pytest.raises(ShapeError, match="channels"):
             net.forward(Tensor(np.zeros((1, 64, 64))))
+
+    @pytest.mark.parametrize("shape, message", [
+        ((1, 64, 64), "conv layer 1: conv2d channel axis mismatch: input has 1 channels, weight expects 3"),
+        ((64, 64), "conv layer 1: conv2d input must be CxHxW or NxCxHxW, got rank 2"),
+        ((3, 6, 6), "conv layer 2: maxpool2d height axis too small: extent 1 < window 2"),
+        ((3, 64, 16), "conv layer 4: conv2d width axis too small: padded extent 1 < kernel 2"),
+    ], ids=["channels", "rank", "pool", "conv"])
+    def test_an_op_refusal_names_its_conv_layer(self, shape, message):
+        net = SNet(SNetConfig(), np.random.default_rng(0))
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            net.forward(Tensor(np.zeros(shape)))
+
+    @pytest.mark.parametrize("h, w", [(16, 16), (64, 16), (6, 6), (64, 6)],
+                             ids=["conv", "conv-width", "pool", "pool-width"])
+    def test_output_shape_is_none_where_a_stage_gets_too_little(self, h, w):
+        # 16 px leaves conv4 a 1x1 input; 6 px leaves pool2 a 1x1 input.
+        assert output_shape(SNetConfig(), h, w) is None
+
+    @pytest.mark.parametrize("cfg", [SNetConfig(), SNetConfig(channel_plan=(8, 64), pool_after=frozenset())],
+                             ids=["default", "two-layer-no-pool"])
+    def test_output_shape_agrees_with_the_ops_at_every_small_size(self, cfg):
+        net = SNet(cfg, np.random.default_rng(0))
+        for side in range(1, 34):
+            try:
+                got = net.forward(Tensor(np.zeros((3, side, 24)))).data.shape
+            except ShapeError:
+                got = None
+            assert output_shape(cfg, side, 24) == got, side
 
 
 class TestParamCount:

@@ -32,6 +32,13 @@ class TestBasics:
         with pytest.raises(ShapeError):
             t.backward()
 
+    def test_backward_from_a_root_that_needs_no_gradient_is_refused(self):
+        # Without requires_grad=True on a, no leaf would get a gradient.
+        a = Tensor([1.0, 2.0])
+        with pytest.raises(StateError, match=r"^backward\(\) needs a root that requires a gradient$"):
+            (a * 2.0).sum().backward()
+        assert a.grad is None
+
 
 class TestArithmetic:
     def test_add_values_and_grads(self):

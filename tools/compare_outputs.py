@@ -10,9 +10,11 @@ with relative paths:
     train --pooling tkp|gap|gmp --epochs 3 --batch-size 16 --seed 3 --lr 0.001
     eval of each run's best and last checkpoint; infer of two test images
     train --config <run>/config_used.cfg, for each of the three runs
+    train --pooling tkp --batch-size 21, whose last batch (64 = 3*21 + 1)
+        holds one image
 
 Then every file either side wrote gets one line: ``identical``, or the
-largest difference, and a last line counts them (``148 of 148 outputs
+largest difference, and a last line counts them (``153 of 153 outputs
 identical``). A checkpoint (read by its own tree's loader) gives
 max |d| per parameter array, an eval report d(acc) and d(ap), and any other
 text file (stdout, loss curves, infer lines) max |d| over its numbers.
@@ -60,6 +62,9 @@ def commands() -> list[tuple[str, list[str]]]:
                                                 "--image", image]))
         cmds.append((f"retrain-{pool}", ["train", "--config", f"{run}/config_used.cfg",
                                           "--out", f"re{run}"]))
+    # Last, so the stdout files above keep their indices.
+    cmds.append(("train-tkp-b21", "train --manifest data/train_manifest.tsv --out run_tkp_b21 --pooling tkp "
+                                  "--epochs 3 --batch-size 21 --seed 3 --lr 0.001".split()))
     return cmds
 
 
