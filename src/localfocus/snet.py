@@ -98,7 +98,7 @@ def output_shape(cfg: SNetConfig, h: int, w: int) -> tuple[int, int, int] | None
         h, w = h - k + 1, w - k + 1
         if i in cfg.pool_after:
             h, w = h // 2, w // 2
-    # A side below 1 stays below 1 through every later stage, so one test covers them all.
+    # A side below 1 stays below 1 through every later stage, so one check at the end covers them all.
     return (OUT_CHANNELS, h, w) if min(h, w) >= 1 else None
 
 
