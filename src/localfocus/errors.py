@@ -67,10 +67,15 @@ def require_real(name: str, value, high: float = math.inf) -> None:
         raise ConfigError(f"{name} must be finite and >= 0{bound}, got {value!r}")
 
 
-def require_finite_pixels(what: str, image: np.ndarray) -> None:
-    """Raise a DomainError naming ``what`` and the position of its first NaN or infinite pixel."""
+def require_finite_pixels(what: str, image: np.ndarray, given: np.ndarray | None = None) -> None:
+    """Raise a DomainError naming ``what`` and the position of its first NaN
+    or infinite pixel. Where ``image`` is a cast of ``given`` and that pixel
+    was finite there, name its given value and the dtype it is not finite in."""
     if not np.isfinite(image).all():
         where = tuple(int(j) for j in np.argwhere(~np.isfinite(image))[0])
+        if given is not None and np.isfinite(given[where]):
+            raise DomainError(f"{what} pixel {where} holds {float(given[where])!r}, "
+                              f"which is not finite in {image.dtype}")
         raise DomainError(f"{what} has a non-finite pixel {image[where]} at {where}")
 
 

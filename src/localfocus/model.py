@@ -40,10 +40,13 @@ class LossReport:
 
 
 def _batch(images) -> np.ndarray:
-    """Stack (3, H, W) images into the float64 (N, 3, H, W) batch.
+    """Stack (3, H, W) images into the (N, 3, H, W) batch, cast into the
+    array ``buffer`` draws (float32 when scoring, float64 in training).
 
     Rejects an empty batch, a wrong rank, an image shaped unlike image 0,
-    and a NaN/inf pixel, which would otherwise score as a label.
+    and a pixel that is not finite after the cast (NaN, inf, or a finite
+    value beyond float32's range when scoring), which would otherwise score
+    as a label.
     """
     images = [np.asarray(im, dtype=np.float64) for im in images]
     if not images:
@@ -53,8 +56,12 @@ def _batch(images) -> np.ndarray:
             raise ShapeError(f"image {i} must be one 3xHxW image, got rank {im.ndim}")
         if im.shape != images[0].shape:
             raise ShapeError(f"image {i} has shape {im.shape}, unlike image 0 with {images[0].shape}")
-        require_finite_pixels(f"image {i}", im)
-    return np.stack(images, out=buffer((len(images),) + images[0].shape))
+    batch = buffer((len(images),) + images[0].shape)
+    with np.errstate(over="ignore"):
+        np.stack(images, out=batch)
+    for i, (im, cast) in enumerate(zip(images, batch)):
+        require_finite_pixels(f"image {i}", cast, im)
+    return batch
 
 
 def head_width(pooling: str, k: int) -> int:
@@ -141,12 +148,15 @@ class LfmModel:
 
     # -- forward paths ----------------------------------------------------------
 
-    def _forward(self, images, rng: np.random.Generator | None) -> tuple[Tensor, Tensor | None]:
+    def _forward(self, images, rng: np.random.Generator | None,
+                 dtype=np.float64) -> tuple[Tensor, Tensor | None]:
         """npr -> snet -> pool -> head over (3, H, W) images: the (N, 1) top-k
         probabilities and, when random-k sampling ran, the random-sample ones
-        (else None). Its arrays come from ``reuse_buffers``, so the recorded
-        graph must be walked before this thread's next forward."""
-        with reuse_buffers():
+        (else None). Everything below the head runs in ``dtype``; the head's
+        float64 weight makes its output float64. Its arrays come from
+        ``reuse_buffers(dtype)``, so the recorded graph must be walked before
+        this thread's next forward of ``dtype``."""
+        with reuse_buffers(dtype):
             batch = _batch(images)
             _check_input_size(self.snet_cfg, self.pooling, self.tkp_cfg.k, *batch.shape[-2:])
             maps = self.snet.forward(npr_extract(Tensor(batch), self.npr_cfg))
@@ -193,10 +203,14 @@ class LfmModel:
     def score(self, image: np.ndarray) -> float:
         """Deterministic fake-probability for one (3, H, W) image.
 
-        Only a scalar copy leaves: the forward's arrays stay with the thread
-        until its next forward. The recorded graph is freed on return.
+        The residual, salience net and pooling run in float32 and the head
+        in float64, so the score is a float64 in [1e-12, 1 - 1e-12] within
+        about 1e-7 of a float64 forward. A pixel beyond float32's range is
+        refused. Only a scalar copy leaves: the forward's arrays stay with
+        the thread until its next score. The recorded graph, float32 below
+        the head and never walked, is freed on return.
         """
-        probs, _ = self._forward([image], None)
+        probs, _ = self._forward([image], None, np.float32)
         return probs.data.reshape(-1)[0]
 
     def infer(self, image: np.ndarray) -> tuple[float, int]:

@@ -1,6 +1,11 @@
 """Differentiable neural-net primitives on top of :class:`Tensor`.
 
-All ops run in float64. ``conv2d`` and ``maxpool2d`` take an
+Ops run in float64, except on the scoring path: there the batch and the
+arrays ``buffer`` draws for a shape are float32 (``LfmModel.score``
+opens a float32 ``reuse_buffers`` block), ``conv2d`` casts its float64
+parameters to the input's dtype per call, and ``linear``'s float64
+weight brings the head back to float64. Only float64 graphs are walked.
+``conv2d`` and ``maxpool2d`` take an
 ``N x C x H x W`` batch, or one ``C x H x W`` image run as a batch of one
 (its output has no batch axis). A batch gives the same bytes as a loop
 over its images: each image runs the same matmuls.
@@ -92,8 +97,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
     kk = kh * kw * cin
     # (n, ho, wo, kh, kw, cin): one (kh, kw, cin) im2col row per output pixel
     taps = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
-    wmat = weight.data.transpose(0, 2, 3, 1).reshape(cout, kk)
-    band = max(1, min(ho, _BAND_BYTES // (8 * wo * (kk + cout))))
+    # The parameters stay float64; a float32 input gets float32 copies of them.
+    wmat = weight.data.transpose(0, 2, 3, 1).reshape(cout, kk).astype(xd.dtype, copy=False)
+    bias_row = bias.data.astype(xd.dtype, copy=False)
+    band = max(1, min(ho, _BAND_BYTES // (xd.itemsize * wo * (kk + cout))))
     col = buffer((band * wo, kk))
     flat = buffer((n * ho * wo, cout))
     for i in range(n):
@@ -102,7 +109,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
             rows = col[:m * wo]
             np.copyto(rows.reshape(m, wo, kh, kw, cin), taps[i, r:r + m])
             y = np.matmul(rows, wmat.T, out=flat[(i * ho + r) * wo:(i * ho + r + m) * wo])
-            y += bias.data
+            y += bias_row
     out_data = flat.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2).reshape(x.data.shape[:-3] + (cout, ho, wo))
 
     def vjp(g):

@@ -1,10 +1,14 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float64 tensors, and float32 ones for scoring, with reverse-mode
+automatic differentiation.
 
 An op computes its value and hands ``Tensor._wrap`` a vector-Jacobian
 product: ``vjp(g)`` maps the output gradient ``g`` to one gradient per
 parent, in order, and may return ``None`` only for a parent that needs none.
 Every other parent gets a float64 array of its shape (a numpy scalar if
 0-d) that no other parent receives, which ``_accumulate`` adopts or adds in.
+That contract holds for float64 graphs, the only ones walked: a float32
+graph comes only from ``LfmModel.score``, whose forward runs in float32 up
+to the float64 head, and nothing walks it, since ``score`` returns a scalar.
 ``_wrap`` alone records the graph edge, and only when some parent requires
 gradients. ``Tensor.backward`` walks it once from a scalar root in reverse
 order of when the nodes were made, releasing each node as it goes; only
@@ -17,14 +21,17 @@ about 15 nodes per call, and frees it when it returns.
 The forward ops draw their large arrays from ``buffer``, given a shape
 (C order) or the array the result mirrors (numpy's order "K", so a
 channels-last view gets a channels-last array). A draw is fresh
-(``np.empty`` or ``np.empty_like``), except inside ``reuse_buffers()``
-(entered by ``LfmModel._forward`` alone), where the i-th draw of a block
-gets the array the thread's last block drew i-th if that draw asked for the
-same shape, or mirrored an array of the same shape and strides (a forward
-on the last forward's batch shape gets every array back). The first draw
-that differs frees the rest of the kept arrays before drawing afresh. The
-arrays a block drew are kept when it exits, so nothing drawn inside may be
-read once the thread's next block begins; gradients are never drawn.
+(``np.empty`` or ``np.empty_like``), except inside ``reuse_buffers(dtype)``
+(entered by ``LfmModel._forward`` alone), whose shape draws are ``dtype``.
+The thread keeps one list of arrays per block dtype, so a float32 ``score``
+and a float64 training step never free each other's. There the i-th draw
+of a block gets the array the thread's last block of its dtype drew i-th
+if that draw asked for the same shape and dtype, or mirrored an array of
+the same shape, strides and dtype (a forward on the last forward's batch
+shape gets every array back). The first draw that differs frees the rest
+of that dtype's kept arrays before drawing afresh. The arrays a block drew
+are kept when it exits, so nothing drawn inside may be read once the
+thread's next block of its dtype begins; gradients are never drawn.
 
 Shape rules are strict: ``+`` and ``-`` take two tensors of identical
 shape, ``*`` also a Python scalar; there is no implicit broadcasting.
@@ -49,49 +56,57 @@ _stamps = itertools.count()
 
 
 class _Buffers(threading.local):
-    """One thread's (request, array) pairs in draw order: ``last``, from its
-    last block, and ``drawn``, from the open block so far (None outside one)."""
+    """One thread's (request, array) pairs in draw order: ``last``, per dtype
+    from its last block of that dtype, and ``drawn``, from the open block so
+    far (None outside one), whose shape draws are ``dtype``."""
 
     def __init__(self):
-        self.last: list[tuple[tuple, np.ndarray]] = []
+        self.last: dict[np.dtype, list[tuple[tuple, np.ndarray]]] = {}
         self.drawn: list[tuple[tuple, np.ndarray]] | None = None
+        self.dtype = np.dtype(np.float64)
 
 
 _buffers = _Buffers()
 
 
 @contextlib.contextmanager
-def reuse_buffers():
-    """Let ``buffer`` reuse this thread's arrays from the previous block, by
-    the rule the module docstring states. Blocks do not nest."""
-    _buffers.drawn = []
+def reuse_buffers(dtype=np.float64):
+    """Let ``buffer`` draw ``dtype`` arrays for a shape and reuse this
+    thread's arrays from its previous block of ``dtype``, by the rule the
+    module docstring states. Blocks do not nest."""
+    _buffers.drawn, _buffers.dtype = [], np.dtype(dtype)
     try:
         yield
     finally:
-        _buffers.last, _buffers.drawn = _buffers.drawn, None
+        _buffers.last[_buffers.dtype], _buffers.drawn = _buffers.drawn, None
 
 
 def buffer(like: tuple[int, ...] | np.ndarray) -> np.ndarray:
-    """An uninitialised array: float64 of shape ``like``, or as
-    ``np.empty_like(like)``; reused inside ``reuse_buffers`` by draw position."""
-    shaped = isinstance(like, tuple)
-    fresh, request = (np.empty, like) if shaped else (np.empty_like, (like.shape, like.strides))
+    """An uninitialised array: of shape ``like`` (float64, or the open
+    block's dtype), or as ``np.empty_like(like)``; reused inside
+    ``reuse_buffers`` by draw position."""
     drawn = _buffers.drawn
+    dtype = np.float64 if drawn is None else _buffers.dtype
+    if isinstance(like, tuple):
+        request, fresh = (like, dtype), lambda: np.empty(like, dtype)
+    else:
+        request, fresh = (like.shape, like.strides, like.dtype), lambda: np.empty_like(like)
     if drawn is None:
-        return fresh(like)
-    last, i = _buffers.last, len(drawn)
+        return fresh()
+    last, i = _buffers.last.setdefault(dtype, []), len(drawn)
     if i < len(last) and last[i][0] != request:
         last.clear()  # the first differing draw: free the rest now, not at block exit
-    a = last[i][1] if i < len(last) else fresh(like)
+    a = last[i][1] if i < len(last) else fresh()
     drawn.append((request, a))
     return a
 
 
 class Tensor:
-    """A float64 ndarray plus gradient bookkeeping.
+    """A float64 or float32 ndarray plus gradient bookkeeping.
 
     Attributes:
-        data: the value, always float64.
+        data: the value: a float32 array stays float32 (the scoring
+            forward's), anything else becomes float64.
         grad: accumulated gradient, same shape as ``data``; ``None``
             until backward reaches this tensor; op outputs drop it once used.
         requires_grad: whether backward should reach this tensor.
@@ -100,7 +115,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_stamp", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._backward = None

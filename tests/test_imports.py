@@ -203,3 +203,30 @@ def test_only_tensor_states_the_probability_clamp():
     assert clamp_literals('X = 1e-12\ny = f(1e-12, "1e-12", 1e-6)\nz = 1.0 - 1e-12\n') == [1, 2, 3]
     found = {p.name: clamp_literals(p.read_text(encoding="utf-8")) for p in PACKAGE}
     assert {name: len(lines) for name, lines in found.items() if lines} == {"tensor.py": 1}
+
+
+def float32_pickers(source: str) -> list[str]:
+    """Owners (see ``owners``) of each call in ``source`` that passes float32
+    as an argument, positional or keyword: ``np.float32``, a bare
+    ``float32``, or the string "float32" or "f4" (any byte order)."""
+
+    def is_float32(node) -> bool:
+        return ((isinstance(node, ast.Attribute) and node.attr == "float32")
+                or (isinstance(node, ast.Name) and node.id == "float32")
+                or (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and node.value.lstrip("<>=|") in ("float32", "f4")))
+
+    return owners(source, lambda n: isinstance(n, ast.Call)
+                  and any(is_float32(a) for a in [*n.args, *(k.value for k in n.keywords)]))
+
+
+def test_only_score_and_the_checkpoint_pick_float32():
+    # LfmModel.score alone picks the scoring dtype, and checkpoint.py stores
+    # parameters as float32. The ops follow the dtype of what they are given,
+    # and Tensor.__init__ only compares a dtype with float32 to keep it.
+    src = ('import numpy as np\ndef f(x):\n    return x.astype(np.float32) if x.dtype == np.float32 else x\n'
+           'class M:\n    def g(self, b):\n        return np.frombuffer(b, dtype="<f4"), h(float32), h("float32 x")\n')
+    assert float32_pickers(src) == ["f", "M.g", "M.g"]
+    pickers = {p.name: sorted(set(float32_pickers(p.read_text(encoding="utf-8"))))
+               for p in SOURCES if p.name != "checkpoint.py"}
+    assert {name: funcs for name, funcs in pickers.items() if funcs} == {"model.py": ["LfmModel.score"]}

@@ -1,6 +1,7 @@
 """Full detector: loss composition, parameter math, inference contract."""
 
 import gc
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -10,6 +11,7 @@ from dataclasses import replace
 
 from localfocus import (Adam, ConfigError, DomainError, LfmModel, ShapeError,
                         SNetConfig, Tensor, TkpConfig, bce_loss_mean)
+from localfocus import tensor
 from localfocus.gradcheck import check_gradient, relative_error
 from localfocus.model import _check_input_size, total_param_count
 from localfocus.npr import npr_extract
@@ -433,3 +435,79 @@ class TestInference:
         model_b = tiny_model(seed=3, rbld_enabled=False, rks_enabled=False)
         img = tiny_batch(n=1)[0][0]
         assert model_a.score(img) == model_b.score(img)
+
+
+class TestFloat32Scoring:
+    """``score`` runs the residual, salience net and pooling in float32 and
+    the head in float64; ``forward_train`` stays float64 throughout."""
+
+    @pytest.mark.parametrize("pooling,side", [("tkp", 64), ("tkp", 256), ("gap", 64), ("gmp", 64)])
+    def test_score_is_within_1e_6_of_a_float64_forward(self, pooling, side):
+        model = LfmModel(pooling=pooling)
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            img = rng.random((3, side, side))
+            want, _ = model._forward([img], None, np.float64)
+            got = model.score(img)
+            assert type(got) is np.float64
+            assert abs(got - want.data.item()) < 1e-6
+
+    def test_a_saturated_logit_scores_exactly_the_clamp(self):
+        # The head and sigmoid run in float64: in float32, 1 - 1e-12 rounds to 1.0.
+        model = tiny_model()
+        img = tiny_batch(n=1)[0][0]
+        for bias, want in ((1e3, 1.0 - tensor._CLAMP), (-1e3, tensor._CLAMP)):
+            model.fc_bias.data[:] = bias
+            assert model.score(img) == want
+            assert model.infer(img) == (want, int(want >= 0.5))
+
+    @pytest.mark.parametrize("value", [1e39, -3.5e38])
+    def test_a_pixel_beyond_float32_range_is_refused(self, value):
+        img = np.zeros((3, 64, 64))
+        img[0, 0, 3] = value
+        for call in (LfmModel().score, LfmModel().infer):
+            with pytest.raises(DomainError, match=rf"^image 0 pixel \(0, 0, 3\) holds {re.escape(repr(value))}, "
+                                                  r"which is not finite in float32$"):
+                call(img)
+
+    def test_training_keeps_a_pixel_float32_cannot_hold(self):
+        images, labels = tiny_batch(n=2)
+        images[1][2, 5, 6] = 1e39
+        model = tiny_model()
+        _, _, report = model.forward_train(images, labels, np.random.default_rng(0))
+        assert np.isfinite(report.total)
+
+    def test_score_runs_float32_below_the_head(self, monkeypatch):
+        seen = []
+
+        def recording_npr(image, cfg):
+            out = npr_extract(image, cfg)
+            seen.append((image.data.dtype, out.data.dtype))
+            return out
+
+        monkeypatch.setattr("localfocus.model.npr_extract", recording_npr)
+        model = tiny_model()
+        images, labels = tiny_batch(n=2)
+        model.score(images[0])
+        model.forward_train(images, labels, np.random.default_rng(0))
+        assert seen == [(np.float32, np.float32), (np.float64, np.float64)]
+
+    def test_an_interleaved_score_keeps_training_arrays(self, monkeypatch):
+        # Each dtype keeps its own arrays: a score between two training steps
+        # neither frees nor takes the float64 arrays the steps share.
+        seen = []
+
+        def recording_npr(image, cfg):
+            out = npr_extract(image, cfg)
+            seen.append((image.data, out.data))
+            return out
+
+        model = tiny_model()
+        monkeypatch.setattr("localfocus.model.npr_extract", recording_npr)
+        images, labels = tiny_batch(n=1)
+        model.forward_train(images, labels, np.random.default_rng(2))
+        model.score(images[0])
+        model.forward_train(images, labels, np.random.default_rng(3))
+        (batch, residual), (scored, _), (batch_again, residual_again) = seen
+        assert batch_again is batch and residual_again is residual
+        assert scored.dtype == np.float32 and not np.shares_memory(scored, batch)

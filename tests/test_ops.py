@@ -297,6 +297,31 @@ class TestConv2dBands:
         for first, second in zip(*calls):
             assert np.shares_memory(first, second)
 
+    @pytest.mark.parametrize("shape,w_shape", [
+        ((1, 32, 127, 127), (64, 32, 2, 2)),  # conv2 at 256 px: many bands
+        ((2, 3, 64, 64), (32, 3, 2, 2)),      # conv1 at 64 px: one band per image
+    ], ids=["conv2-256px", "conv1-64px"])
+    def test_a_float32_input_runs_in_float32(self, monkeypatch, shape, w_shape):
+        rng = np.random.default_rng(24)
+        x0 = rng.normal(size=shape)
+        w, b = Tensor(rng.normal(size=w_shape)), Tensor(rng.normal(size=w_shape[0]))
+        want = conv2d(Tensor(x0), w, b).data
+        drawn = []
+        monkeypatch.setattr(ops, "buffer", lambda like: drawn.append(tensor.buffer(like)) or drawn[-1])
+        with tensor.reuse_buffers(np.float32):
+            got = conv2d(Tensor(x0.astype(np.float32)), w, b).data
+        assert got.dtype == np.float32 and w.data.dtype == np.float64 and b.data.dtype == np.float64
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+        # The band is sized for 4-byte values: its rows and products fit the
+        # budget, and one more row of them would not.
+        band, = [a for a in drawn if not np.shares_memory(a, got)]
+        cout, cin, kh, kw = w_shape
+        ho, wo = got.shape[-2:]
+        row_bytes = band.itemsize * wo * (kh * kw * cin + cout)
+        rows = band.shape[0] // wo
+        assert band.dtype == np.float32 and rows * row_bytes <= ops._BAND_BYTES
+        assert rows == ho or (rows + 1) * row_bytes > ops._BAND_BYTES
+
 
 def oracle_maxpool2d(xd, g, k, stride):
     """Window-copy max-pool: argmax over each copied window (first max

@@ -442,3 +442,44 @@ class TestBufferReuse:
             with reuse_buffers() if reuse else contextlib.nullcontext():
                 b = buffer(like)
             assert b.shape == like.shape and b.strides == np.empty_like(like).strides
+
+    def test_each_dtype_keeps_its_own_buffers(self):
+        with reuse_buffers():
+            a = buffer((4, 5))
+        with reuse_buffers(np.float32):
+            b = buffer((4, 5))
+        assert a.dtype == np.float64 and b.dtype == np.float32
+        with reuse_buffers():
+            assert buffer((4, 5)) is a
+        with reuse_buffers(np.float32):
+            assert buffer((4, 5)) is b
+
+    def test_a_float32_shape_draw_never_returns_a_float64_array(self):
+        kept = np.empty((4, 5))
+        for _ in range(2):
+            with reuse_buffers(np.float32):
+                drawn = [buffer((4, 5)), buffer(kept)]
+            assert [a.dtype for a in drawn] == [np.float32, np.float64]
+            assert not any(np.shares_memory(a, kept) for a in drawn)
+
+    def test_a_mirrored_draw_of_another_dtype_is_fresh(self):
+        wide = np.empty((4, 5))
+        narrow = np.empty((4, 10), dtype=np.float32)[:, ::2]  # wide's shape and strides
+        assert narrow.shape == wide.shape and narrow.strides == wide.strides
+        with reuse_buffers():
+            first = buffer(wide)
+        with reuse_buffers():
+            second = buffer(narrow)
+        assert second.dtype == np.float32 and not np.shares_memory(first, second)
+
+
+class TestDtypes:
+    @pytest.mark.parametrize("data", [np.zeros(3, dtype=np.float32), np.float32(2.5)])
+    def test_float32_data_stays_float32(self, data):
+        t = Tensor(data)
+        assert t.data.dtype == np.float32 and t.data.shape == np.shape(data)
+
+    @pytest.mark.parametrize("data", [[1, 2, 3], np.arange(3, dtype=np.int32), np.zeros(3, dtype=np.float16),
+                                      np.zeros(3, dtype=np.longdouble), True])
+    def test_anything_else_becomes_float64(self, data):
+        assert Tensor(data).data.dtype == np.float64
