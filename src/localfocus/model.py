@@ -40,13 +40,12 @@ class LossReport:
 
 
 def _batch(images) -> np.ndarray:
-    """Stack (3, H, W) images into the (N, 3, H, W) batch, cast into the
-    array ``buffer`` draws (float32 when scoring, float64 in training).
+    """Stack (3, H, W) images into the (N, 3, H, W) batch ``buffer`` draws
+    (float32 when scoring, float64 in training), casting them.
 
     Rejects an empty batch, a wrong rank, an image shaped unlike image 0,
-    and a pixel that is not finite after the cast (NaN, inf, or a finite
-    value beyond float32's range when scoring), which would otherwise score
-    as a label.
+    and a pixel the cast leaves NaN or infinite (a float32 batch turns one
+    beyond its range infinite), which would otherwise score as a label.
     """
     images = [np.asarray(im, dtype=np.float64) for im in images]
     if not images:
@@ -203,12 +202,10 @@ class LfmModel:
     def score(self, image: np.ndarray) -> float:
         """Deterministic fake-probability for one (3, H, W) image.
 
-        The residual, salience net and pooling run in float32 and the head
-        in float64, so the score is a float64 in [1e-12, 1 - 1e-12] within
-        about 1e-7 of a float64 forward. A pixel beyond float32's range is
-        refused. Only a scalar copy leaves: the forward's arrays stay with
-        the thread until its next score. The recorded graph, float32 below
-        the head and never walked, is freed on return.
+        Everything below the head runs in float32 and the head in float64:
+        the score is a float64 within about 1e-7 of a float64 forward. Only
+        a scalar copy leaves: the forward's arrays stay with the thread
+        until its next score. The recorded graph is freed on return.
         """
         probs, _ = self._forward([image], None, np.float32)
         return probs.data.reshape(-1)[0]

@@ -1,14 +1,13 @@
-"""Dense float64 tensors, and float32 ones for scoring, with reverse-mode
-automatic differentiation.
+"""Dense float64 (and, for scoring, float32) tensors with reverse-mode autodiff.
 
 An op computes its value and hands ``Tensor._wrap`` a vector-Jacobian
 product: ``vjp(g)`` maps the output gradient ``g`` to one gradient per
 parent, in order, and may return ``None`` only for a parent that needs none.
 Every other parent gets a float64 array of its shape (a numpy scalar if
 0-d) that no other parent receives, which ``_accumulate`` adopts or adds in.
-That contract holds for float64 graphs, the only ones walked: a float32
-graph comes only from ``LfmModel.score``, whose forward runs in float32 up
-to the float64 head, and nothing walks it, since ``score`` returns a scalar.
+Only float64 graphs are walked (``backward`` refuses any other): the one
+float32 graph, ``LfmModel.score``'s below its float64 head, is never
+walked, since ``score`` returns a scalar.
 ``_wrap`` alone records the graph edge, and only when some parent requires
 gradients. ``Tensor.backward`` walks it once from a scalar root in reverse
 order of when the nodes were made, releasing each node as it goes; only
@@ -22,16 +21,16 @@ The forward ops draw their large arrays from ``buffer``, given a shape
 (C order) or the array the result mirrors (numpy's order "K", so a
 channels-last view gets a channels-last array). A draw is fresh
 (``np.empty`` or ``np.empty_like``), except inside ``reuse_buffers(dtype)``
-(entered by ``LfmModel._forward`` alone), whose shape draws are ``dtype``.
-The thread keeps one list of arrays per block dtype, so a float32 ``score``
-and a float64 training step never free each other's. There the i-th draw
-of a block gets the array the thread's last block of its dtype drew i-th
-if that draw asked for the same shape and dtype, or mirrored an array of
-the same shape, strides and dtype (a forward on the last forward's batch
-shape gets every array back). The first draw that differs frees the rest
-of that dtype's kept arrays before drawing afresh. The arrays a block drew
-are kept when it exits, so nothing drawn inside may be read once the
-thread's next block of its dtype begins; gradients are never drawn.
+(entered by ``LfmModel._forward`` alone), whose shape draws are ``dtype``,
+where the i-th draw of a block gets the array the thread's last block of
+that dtype drew i-th if that draw asked for the same shape, or mirrored an
+array of the same shape and strides, both of the same dtype (a forward on
+the last forward's batch shape gets every array back). The first draw that
+differs frees the rest of that dtype's kept arrays before drawing afresh;
+a thread keeps one list per dtype, so a float32 ``score`` and a float64
+training step never free each other's. The arrays a block drew are kept
+when it exits, so nothing drawn inside may be read once the thread's next
+block of its dtype begins; gradients are never drawn.
 
 Shape rules are strict: ``+`` and ``-`` take two tensors of identical
 shape, ``*`` also a Python scalar; there is no implicit broadcasting.
@@ -189,7 +188,8 @@ class Tensor:
         for its backward (a pooling's gather indices, a padded conv's
         padded input) before the walk reaches its inputs. A later walk that
         reaches a released node raises ``StateError`` before any gradient
-        moves, as does a root that requires no gradient (no leaf would get one).
+        moves, as does a root that requires no gradient (no leaf would get one)
+        or a graph holding a float32 node (the vjps are float64).
         """
         if not self.requires_grad:
             raise StateError("backward() needs a root that requires a gradient")
@@ -201,6 +201,8 @@ class Tensor:
             if hasattr(node, "_stamp") and node._stamp not in recorded:
                 if node._backward is None:
                     raise StateError("backward() reached a node that an earlier backward() already released")
+                if node.data.dtype != np.float64:
+                    raise StateError(f"backward() reached a {node.data.dtype} node; only float64 graphs are walked")
                 recorded[node._stamp] = node
                 stack.extend(node._parents)
 

@@ -10,7 +10,7 @@ import pytest
 from dataclasses import replace
 
 from localfocus import (Adam, ConfigError, DomainError, LfmModel, ShapeError,
-                        SNetConfig, Tensor, TkpConfig, bce_loss_mean)
+                        SNetConfig, StateError, Tensor, TkpConfig, bce_loss_mean)
 from localfocus import tensor
 from localfocus.gradcheck import check_gradient, relative_error
 from localfocus.model import _check_input_size, total_param_count
@@ -511,3 +511,11 @@ class TestFloat32Scoring:
         (batch, residual), (scored, _), (batch_again, residual_again) = seen
         assert batch_again is batch and residual_again is residual
         assert scored.dtype == np.float32 and not np.shares_memory(scored, batch)
+
+    def test_the_scoring_graph_is_refused_by_backward(self):
+        model = tiny_model()
+        probs, _ = model._forward([tiny_batch(n=1)[0][0]], None, np.float32)
+        assert probs.data.dtype == np.float64
+        with pytest.raises(StateError, match=r"reached a float32 node"):
+            probs.sum().backward()
+        assert all(p.grad is None for p in model.parameters())

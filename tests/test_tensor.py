@@ -483,3 +483,10 @@ class TestDtypes:
                                       np.zeros(3, dtype=np.longdouble), True])
     def test_anything_else_becomes_float64(self, data):
         assert Tensor(data).data.dtype == np.float64
+
+    def test_a_float32_graph_is_not_walked(self):
+        x = Tensor(np.ones(4, dtype=np.float32), requires_grad=True)
+        root = (x * 2.0).sum()
+        with pytest.raises(StateError, match=r"^backward\(\) reached a float32 node; only float64 graphs are walked$"):
+            root.backward()
+        assert x.grad is None
