@@ -39,9 +39,9 @@ class LossReport:
     total: float
 
 
-def _batch(images) -> np.ndarray:
-    """Stack (3, H, W) images into the (N, 3, H, W) batch ``buffer`` draws
-    (float32 when scoring, float64 in training), casting them.
+def _batch(images, dtype) -> np.ndarray:
+    """Cast (3, H, W) images into the (N, 3, H, W) ``dtype`` batch ``buffer``
+    draws: the model path's one cast, whose dtype every op below the head follows.
 
     Rejects an empty batch, a wrong rank, an image shaped unlike image 0,
     and a pixel the cast leaves NaN or infinite (a float32 batch turns one
@@ -55,7 +55,7 @@ def _batch(images) -> np.ndarray:
             raise ShapeError(f"image {i} must be one 3xHxW image, got rank {im.ndim}")
         if im.shape != images[0].shape:
             raise ShapeError(f"image {i} has shape {im.shape}, unlike image 0 with {images[0].shape}")
-    batch = buffer((len(images),) + images[0].shape)
+    batch = buffer((len(images),) + images[0].shape, dtype)
     with np.errstate(over="ignore"):
         np.stack(images, out=batch)
     for i, (im, cast) in enumerate(zip(images, batch)):
@@ -151,12 +151,12 @@ class LfmModel:
                  dtype=np.float64) -> tuple[Tensor, Tensor | None]:
         """npr -> snet -> pool -> head over (3, H, W) images: the (N, 1) top-k
         probabilities and, when random-k sampling ran, the random-sample ones
-        (else None). Everything below the head runs in ``dtype``; the head's
-        float64 weight makes its output float64. Its arrays come from
-        ``reuse_buffers(dtype)``, so the recorded graph must be walked before
-        this thread's next forward of ``dtype``."""
-        with reuse_buffers(dtype):
-            batch = _batch(images)
+        (else None). ``_batch`` casts the images to ``dtype``, and every op
+        below the head follows it; the head's float64 weight makes its output
+        float64. Its arrays come from ``reuse_buffers()``, so the recorded
+        graph must be walked before this thread's next forward of ``dtype``."""
+        with reuse_buffers():
+            batch = _batch(images, dtype)
             _check_input_size(self.snet_cfg, self.pooling, self.tkp_cfg.k, *batch.shape[-2:])
             maps = self.snet.forward(npr_extract(Tensor(batch), self.npr_cfg))
             if self.pooling == "tkp":

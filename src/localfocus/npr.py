@@ -64,7 +64,7 @@ def _residual(data: np.ndarray) -> np.ndarray:
     """Signed residual of ``data`` (any rank >= 2; acts on the last two axes)."""
     _check_grid(*data.shape[-2:])
     blocks, anchors = _blocks(data)
-    out = buffer(data.shape)
+    out = buffer(data.shape, data.dtype)
     np.subtract(blocks, anchors, out=out.reshape(blocks.shape))
     return out
 

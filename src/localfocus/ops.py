@@ -1,12 +1,10 @@
 """Differentiable neural-net primitives on top of :class:`Tensor`.
 
-Ops run in float64, except on the scoring path: there the batch and the
-arrays ``buffer`` draws for a shape are float32 (``LfmModel.score``
-opens a float32 ``reuse_buffers`` block), ``conv2d`` casts its float64
-parameters to the input's dtype per call, and ``linear``'s float64
-weight brings the head back to float64. Only float64 graphs are walked.
-``conv2d`` and ``maxpool2d`` take an
-``N x C x H x W`` batch, or one ``C x H x W`` image run as a batch of one
+Each op returns its input's dtype (float64, or float32 on the scoring
+path; ``conv2d`` casts its float64 parameters to it per call), except
+``linear`` and ``bce_loss_mean``, which promote to float64, so the head
+is float64. Only float64 graphs are walked. ``conv2d`` and ``maxpool2d``
+take an ``N x C x H x W`` batch, or one ``C x H x W`` image run as a batch of one
 (its output has no batch axis). A batch gives the same bytes as a loop
 over its images: each image runs the same matmuls.
 
@@ -101,8 +99,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
     wmat = weight.data.transpose(0, 2, 3, 1).reshape(cout, kk).astype(xd.dtype, copy=False)
     bias_row = bias.data.astype(xd.dtype, copy=False)
     band = max(1, min(ho, _BAND_BYTES // (xd.itemsize * wo * (kk + cout))))
-    col = buffer((band * wo, kk))
-    flat = buffer((n * ho * wo, cout))
+    col = buffer((band * wo, kk), xd.dtype)
+    flat = buffer((n * ho * wo, cout), xd.dtype)
     for i in range(n):
         for r in range(0, ho, band):
             m = min(band, ho - r)

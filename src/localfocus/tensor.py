@@ -18,19 +18,19 @@ require gradients, so inference (``LfmModel.score``) records a graph too,
 about 15 nodes per call, and frees it when it returns.
 
 The forward ops draw their large arrays from ``buffer``, given a shape
-(C order) or the array the result mirrors (numpy's order "K", so a
-channels-last view gets a channels-last array). A draw is fresh
-(``np.empty`` or ``np.empty_like``), except inside ``reuse_buffers(dtype)``
-(entered by ``LfmModel._forward`` alone), whose shape draws are ``dtype``,
-where the i-th draw of a block gets the array the thread's last block of
-that dtype drew i-th if that draw asked for the same shape, or mirrored an
-array of the same shape and strides, both of the same dtype (a forward on
-the last forward's batch shape gets every array back). The first draw that
-differs frees the rest of that dtype's kept arrays before drawing afresh;
-a thread keeps one list per dtype, so a float32 ``score`` and a float64
-training step never free each other's. The arrays a block drew are kept
-when it exits, so nothing drawn inside may be read once the thread's next
-block of its dtype begins; gradients are never drawn.
+and a dtype (C order) or the array the result mirrors (its dtype, and
+numpy's order "K", so a channels-last view gets a channels-last array):
+every op draws in its input's dtype. A draw is fresh (``np.empty`` or
+``np.empty_like``), except inside ``reuse_buffers()`` (entered by
+``LfmModel._forward`` alone), where the i-th draw of a dtype in a block
+gets the array the thread's last block drew i-th in that dtype if that
+draw asked for the same shape, or mirrored an array of the same shape and
+strides (a forward on the last forward's batch shape gets every array
+back). The first draw that differs frees the rest of that dtype's kept
+arrays; a thread keeps one list per dtype, so a float32 ``score`` and a
+float64 training step never free each other's. A block's arrays are kept
+when it exits, so none may be read once a later block of the thread
+draws in its dtype; gradients are never drawn.
 
 Shape rules are strict: ``+`` and ``-`` take two tensors of identical
 shape, ``*`` also a Python scalar; there is no implicit broadcasting.
@@ -55,44 +55,43 @@ _stamps = itertools.count()
 
 
 class _Buffers(threading.local):
-    """One thread's (request, array) pairs in draw order: ``last``, per dtype
-    from its last block of that dtype, and ``drawn``, from the open block so
-    far (None outside one), whose shape draws are ``dtype``."""
+    """One thread's (request, array) pairs in draw order, per dtype of the
+    draw: ``last`` from the last block that drew in that dtype, and
+    ``drawn`` from the open block so far (None outside one)."""
 
     def __init__(self):
         self.last: dict[np.dtype, list[tuple[tuple, np.ndarray]]] = {}
-        self.drawn: list[tuple[tuple, np.ndarray]] | None = None
-        self.dtype = np.dtype(np.float64)
+        self.drawn: dict[np.dtype, list[tuple[tuple, np.ndarray]]] | None = None
 
 
 _buffers = _Buffers()
 
 
 @contextlib.contextmanager
-def reuse_buffers(dtype=np.float64):
-    """Let ``buffer`` draw ``dtype`` arrays for a shape and reuse this
-    thread's arrays from its previous block of ``dtype``, by the rule the
-    module docstring states. Blocks do not nest."""
-    _buffers.drawn, _buffers.dtype = [], np.dtype(dtype)
+def reuse_buffers():
+    """Let ``buffer`` reuse this thread's arrays from its previous blocks,
+    per dtype of the draw, by the rule the module docstring states.
+    Blocks do not nest."""
+    _buffers.drawn = {}
     try:
         yield
     finally:
-        _buffers.last[_buffers.dtype], _buffers.drawn = _buffers.drawn, None
+        _buffers.last.update(_buffers.drawn)
+        _buffers.drawn = None
 
 
-def buffer(like: tuple[int, ...] | np.ndarray) -> np.ndarray:
-    """An uninitialised array: of shape ``like`` (float64, or the open
-    block's dtype), or as ``np.empty_like(like)``; reused inside
-    ``reuse_buffers`` by draw position."""
-    drawn = _buffers.drawn
-    dtype = np.float64 if drawn is None else _buffers.dtype
+def buffer(like: tuple[int, ...] | np.ndarray, dtype=np.float64) -> np.ndarray:
+    """An uninitialised array: ``np.empty(like, dtype)`` for a shape, or
+    ``np.empty_like(like)`` for an array (whose dtype it takes); reused
+    inside ``reuse_buffers`` by draw position within the draw's dtype."""
     if isinstance(like, tuple):
-        request, fresh = (like, dtype), lambda: np.empty(like, dtype)
+        dtype, request, fresh = np.dtype(dtype), like, lambda: np.empty(like, dtype)
     else:
-        request, fresh = (like.shape, like.strides, like.dtype), lambda: np.empty_like(like)
-    if drawn is None:
+        dtype, request, fresh = like.dtype, (like.shape, like.strides), lambda: np.empty_like(like)
+    if _buffers.drawn is None:
         return fresh()
-    last, i = _buffers.last.setdefault(dtype, []), len(drawn)
+    drawn, last = _buffers.drawn.setdefault(dtype, []), _buffers.last.setdefault(dtype, [])
+    i = len(drawn)
     if i < len(last) and last[i][0] != request:
         last.clear()  # the first differing draw: free the rest now, not at block exit
     a = last[i][1] if i < len(last) else fresh()

@@ -230,3 +230,32 @@ def test_only_score_and_the_checkpoint_pick_float32():
     pickers = {p.name: sorted(set(float32_pickers(p.read_text(encoding="utf-8"))))
                for p in SOURCES if p.name != "checkpoint.py"}
     assert {name: funcs for name, funcs in pickers.items() if funcs} == {"model.py": ["LfmModel.score"]}
+
+
+def dtypeless_shape_draws(source: str) -> list[str]:
+    """Owners (see ``owners``) of each ``buffer`` call in ``source`` whose
+    first argument is a shape (a tuple display, a sum holding one, or a
+    ``.shape`` attribute) and that passes no dtype, positional or keyword."""
+
+    def is_shape(node) -> bool:
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            return is_shape(node.left) or is_shape(node.right)
+        return isinstance(node, ast.Tuple) or (isinstance(node, ast.Attribute) and node.attr == "shape")
+
+    def is_buffer(func) -> bool:
+        return (isinstance(func, ast.Name) and func.id == "buffer") or (
+            isinstance(func, ast.Attribute) and func.attr == "buffer")
+
+    return owners(source, lambda n: isinstance(n, ast.Call) and is_buffer(n.func)
+                  and len(n.args) == 1 and is_shape(n.args[0])
+                  and not any(k.arg == "dtype" for k in n.keywords))
+
+
+def test_every_shape_draw_names_its_dtype():
+    # An op draws in its input's dtype: a shape draw with no dtype is float64
+    # whatever it was given, so a float32 input would come back float64.
+    src = ("def f(x, n):\n    return buffer((n, 3)), buffer(x.shape), t.buffer((n,) + x.shape[1:])\n"
+           "def g(x, n):\n    return buffer((n, 3), x.dtype), buffer(x.shape, dtype=x.dtype), buffer(x), buffer(x.data)\n")
+    assert dtypeless_shape_draws(src) == ["f", "f", "f"]
+    offenders = {p.name: dtypeless_shape_draws(p.read_text(encoding="utf-8")) for p in SOURCES}
+    assert {name: funcs for name, funcs in offenders.items() if funcs} == {}

@@ -186,9 +186,8 @@ class TestForwardTrain:
         assert batch_again is batch and residual_again is residual
 
     def test_scoring_between_steps_leaves_training_unchanged(self):
-        # At batch size 1, score draws the shapes forward_train drew, so the
-        # kept arrays pass between the two paths; scoring before Adam.step
-        # also shows that no gradient is a kept array.
+        # A score between steps leaves training's bytes unchanged, and
+        # scoring before Adam.step also shows that no gradient is a kept array.
         images, labels = tiny_batch(n=4)
         params = []
         for interleave in (False, True):

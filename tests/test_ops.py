@@ -1,5 +1,6 @@
 """Conv/pool/linear/loss kernels: frozen values, shape law, gradients."""
 
+import contextlib
 import re
 
 import numpy as np
@@ -259,7 +260,7 @@ class TestConv2dBands:
         assert ho % 3 != 0  # the 3-row bands end in a partial one
         monkeypatch.setattr(ops, "_BAND_BYTES", 8 * wo * (kh * kw * cin + cout) * rows)
         drawn = []
-        monkeypatch.setattr(ops, "buffer", lambda like: drawn.append(like) or tensor.buffer(like))
+        monkeypatch.setattr(ops, "buffer", lambda *a: drawn.append(a[0]) or tensor.buffer(*a))
         g = rng.normal(size=shape[:-3] + (cout, ho, wo))
 
         x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
@@ -287,7 +288,7 @@ class TestConv2dBands:
         calls = []
         for _ in range(2):
             drawn = []
-            monkeypatch.setattr(ops, "buffer", lambda like: drawn.append(tensor.buffer(like)) or drawn[-1])
+            monkeypatch.setattr(ops, "buffer", lambda *a: drawn.append(tensor.buffer(*a)) or drawn[-1])
             with tensor.reuse_buffers():
                 out = conv2d(x, w, b).data
             assert len(drawn) == 2
@@ -297,18 +298,20 @@ class TestConv2dBands:
         for first, second in zip(*calls):
             assert np.shares_memory(first, second)
 
-    @pytest.mark.parametrize("shape,w_shape", [
-        ((1, 32, 127, 127), (64, 32, 2, 2)),  # conv2 at 256 px: many bands
-        ((2, 3, 64, 64), (32, 3, 2, 2)),      # conv1 at 64 px: one band per image
-    ], ids=["conv2-256px", "conv1-64px"])
-    def test_a_float32_input_runs_in_float32(self, monkeypatch, shape, w_shape):
+    @pytest.mark.parametrize("shape,w_shape,block", [
+        ((1, 32, 127, 127), (64, 32, 2, 2), True),   # conv2 at 256 px: many bands
+        ((2, 3, 64, 64), (32, 3, 2, 2), True),       # conv1 at 64 px: one band per image
+        ((1, 32, 127, 127), (64, 32, 2, 2), False),  # the same two with no reuse block open
+        ((2, 3, 64, 64), (32, 3, 2, 2), False),
+    ], ids=["conv2-256px", "conv1-64px", "conv2-256px-no-block", "conv1-64px-no-block"])
+    def test_a_float32_input_runs_in_float32(self, monkeypatch, shape, w_shape, block):
         rng = np.random.default_rng(24)
         x0 = rng.normal(size=shape)
         w, b = Tensor(rng.normal(size=w_shape)), Tensor(rng.normal(size=w_shape[0]))
         want = conv2d(Tensor(x0), w, b).data
         drawn = []
-        monkeypatch.setattr(ops, "buffer", lambda like: drawn.append(tensor.buffer(like)) or drawn[-1])
-        with tensor.reuse_buffers(np.float32):
+        monkeypatch.setattr(ops, "buffer", lambda *a: drawn.append(tensor.buffer(*a)) or drawn[-1])
+        with tensor.reuse_buffers() if block else contextlib.nullcontext():
             got = conv2d(Tensor(x0.astype(np.float32)), w, b).data
         assert got.dtype == np.float32 and w.data.dtype == np.float64 and b.data.dtype == np.float64
         assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()

@@ -446,19 +446,19 @@ class TestBufferReuse:
     def test_each_dtype_keeps_its_own_buffers(self):
         with reuse_buffers():
             a = buffer((4, 5))
-        with reuse_buffers(np.float32):
-            b = buffer((4, 5))
+        with reuse_buffers():
+            b = buffer((4, 5), np.float32)
         assert a.dtype == np.float64 and b.dtype == np.float32
         with reuse_buffers():
             assert buffer((4, 5)) is a
-        with reuse_buffers(np.float32):
-            assert buffer((4, 5)) is b
+        with reuse_buffers():
+            assert buffer((4, 5), np.float32) is b
 
     def test_a_float32_shape_draw_never_returns_a_float64_array(self):
         kept = np.empty((4, 5))
         for _ in range(2):
-            with reuse_buffers(np.float32):
-                drawn = [buffer((4, 5)), buffer(kept)]
+            with reuse_buffers():
+                drawn = [buffer((4, 5), np.float32), buffer(kept)]
             assert [a.dtype for a in drawn] == [np.float32, np.float64]
             assert not any(np.shares_memory(a, kept) for a in drawn)
 
@@ -483,6 +483,15 @@ class TestDtypes:
                                       np.zeros(3, dtype=np.longdouble), True])
     def test_anything_else_becomes_float64(self, data):
         assert Tensor(data).data.dtype == np.float64
+
+    def test_a_float32_input_stays_float32_with_no_block_open(self):
+        # Every op draws in its input's dtype, inside a reuse block or not.
+        x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 8, 8)).astype(np.float32))
+        outs = {"npr": npr_extract(x, NprConfig(take_abs=True)),
+                "npr-signed": npr_extract(x, NprConfig(take_abs=False)),
+                "maxpool2d": maxpool2d(x), "relu": x.relu(), "abs": x.abs(),
+                "tkp_pool": tkp_pool(x, TkpConfig(k=4))[0], "gap_pool": gap_pool(x), "gmp_pool": gmp_pool(x)}
+        assert {name: out.data.dtype for name, out in outs.items()} == dict.fromkeys(outs, np.float32)
 
     def test_a_float32_graph_is_not_walked(self):
         x = Tensor(np.ones(4, dtype=np.float32), requires_grad=True)
